@@ -1443,7 +1443,7 @@ fn fleet_bench_run(
     let job = client.submit_fleet(&spec)?;
 
     let stop = AtomicBool::new(false);
-    let status = std::thread::scope(|scope| {
+    let state = std::thread::scope(|scope| {
         for i in 0..workers {
             let mut cfg = fsp_fleet::WorkerConfig::new(&addr, format!("bench-{i}"));
             cfg.campaign_workers = 1;
@@ -1455,14 +1455,28 @@ fn fleet_bench_run(
                 let _ = fsp_fleet::run_worker(&cfg, stop);
             });
         }
-        let status = client.wait(&job, Duration::from_secs(600));
+        // Watch the job in-process every millisecond: the client's
+        // backoff polling would round the wall time up by up to seconds.
+        let deadline = started + Duration::from_secs(600);
+        let state = loop {
+            let state = engine.job_json(&job).and_then(|j| {
+                j.get("state")
+                    .and_then(fsp_serve::Json::as_str)
+                    .map(str::to_owned)
+            });
+            match state.as_deref() {
+                Some("queued" | "running") if std::time::Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                _ => break state,
+            }
+        };
         stop.store(true, Ordering::Relaxed);
-        status
-    })?;
+        state
+    });
     let secs = started.elapsed().as_secs_f64();
-    match status.get("state").and_then(fsp_serve::Json::as_str) {
-        Some("completed") => {}
-        other => return Err(format!("{kernel} w={workers}: job ended as {other:?}")),
+    if state.as_deref() != Some("completed") {
+        return Err(format!("{kernel} w={workers}: job ended as {state:?}"));
     }
     let requeues = client
         .metric("fsp_fleet_lease_requeues_total")
@@ -1522,7 +1536,10 @@ fn fleet_bench(
     let _ = std::fs::remove_dir_all(&scratch);
 
     if json {
+        let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let mut doc = String::from("{\n");
+        doc.push_str(&format!("  \"nproc\": {nproc},\n"));
+        doc.push_str("  \"campaign_workers\": 1,\n");
         doc.push_str(&format!("  \"samples_per_job\": {n},\n"));
         doc.push_str(&format!("  \"seed\": {},\n", opts.seed));
         doc.push_str("  \"chunk_sites\": 32,\n");

@@ -15,6 +15,12 @@
 //!                +—— deadline expired ———+   (lazy requeue inside acquire)
 //! ```
 //!
+//! Acquisition is a long poll: [`LeaseTable::acquire_wait`] parks an idle
+//! worker's request on the table's condvar until a chunk is published,
+//! the earliest held lease passes its deadline (so stealing is never
+//! delayed by the poll), the pending count drains to zero, the table is
+//! closed, or the caller's wait runs out.
+//!
 //! Completion is accepted from *any* worker holding the chunk's outcomes —
 //! including a worker whose lease has already expired and been re-leased
 //! to someone else. The simulator is deterministic, so rival submissions
@@ -246,6 +252,33 @@ struct Inner {
     workers: BTreeMap<String, WorkerStats>,
     requeues: u64,
     duplicates: u64,
+    /// Completion generation: bumped by every accepted `complete`, so a
+    /// supervisor can tell whether it missed one (see `wait_progress`).
+    completions: u64,
+    /// Set by `close`: nothing parks any more.
+    closed: bool,
+}
+
+impl Inner {
+    /// Chunks not yet done (available + leased).
+    fn pending(&self) -> usize {
+        self.chunks
+            .values()
+            .filter(|c| !matches!(c.state, ChunkState::Done { .. }))
+            .count()
+    }
+
+    /// The earliest deadline among held leases: the next moment a parked
+    /// acquire could steal work.
+    fn earliest_deadline(&self) -> Option<Instant> {
+        self.chunks
+            .values()
+            .filter_map(|c| match c.state {
+                ChunkState::Leased { deadline, .. } => Some(deadline),
+                _ => None,
+            })
+            .min()
+    }
 }
 
 /// The lease table. One per engine; shared by the HTTP layer and the
@@ -303,7 +336,18 @@ impl LeaseTable {
         let mut inner = self.inner.lock().expect("lease table poisoned");
         let before = inner.chunks.len();
         inner.chunks.retain(|_, c| c.spec.job != job);
-        before - inner.chunks.len()
+        let dropped = before - inner.chunks.len();
+        drop(inner);
+        // Parked acquires re-check: the fleet may just have drained.
+        self.progress.notify_all();
+        dropped
+    }
+
+    /// Closes the table (engine shutdown): wakes every parked acquire and
+    /// progress wait, and makes later ones return without parking.
+    pub fn close(&self) {
+        self.inner.lock().expect("lease table poisoned").closed = true;
+        self.progress.notify_all();
     }
 
     /// Requeues leases whose deadline has passed. Internal; called with the
@@ -320,11 +364,43 @@ impl LeaseTable {
     }
 
     /// Grants the lowest-numbered available chunk to `worker`, requeuing
-    /// expired leases first (this is where work stealing happens).
+    /// expired leases first (this is where work stealing happens). Never
+    /// blocks: `acquire_wait(worker, Duration::ZERO)`.
     pub fn acquire(&self, worker: &str) -> Acquired {
-        let now = Instant::now();
+        self.acquire_wait(worker, Duration::ZERO)
+    }
+
+    /// Like [`LeaseTable::acquire`], but when nothing is available parks
+    /// for up to `wait` on the table's condvar. It wakes when a chunk is
+    /// published, at the earliest held lease's deadline (to steal it),
+    /// when the pending count drains to zero, or when the table closes —
+    /// then returns the new grant or, if there is none, the pending count.
+    pub fn acquire_wait(&self, worker: &str, wait: Duration) -> Acquired {
+        let give_up = Instant::now() + wait;
         let mut inner = self.inner.lock().expect("lease table poisoned");
-        Self::requeue_expired(&mut inner, now);
+        let mut entry_pending = None;
+        loop {
+            let now = Instant::now();
+            let acquired = self.try_grant(&mut inner, worker, now);
+            let pending = *entry_pending.get_or_insert(acquired.pending);
+            let drained = acquired.pending == 0 && pending > 0;
+            if acquired.grant.is_some() || drained || inner.closed || now >= give_up {
+                return acquired;
+            }
+            let wake = inner
+                .earliest_deadline()
+                .map_or(give_up, |d| d.min(give_up));
+            inner = self
+                .progress
+                .wait_timeout(inner, wake.saturating_duration_since(now))
+                .expect("lease table poisoned")
+                .0;
+        }
+    }
+
+    /// One non-blocking acquisition attempt with the lock held.
+    fn try_grant(&self, inner: &mut Inner, worker: &str, now: Instant) -> Acquired {
+        Self::requeue_expired(inner, now);
         let ttl = self.config.lease_ttl;
         let mut grant = None;
         for (id, chunk) in &mut inner.chunks {
@@ -350,12 +426,10 @@ impl LeaseTable {
         if grant.is_some() {
             inner.workers.entry(worker.to_owned()).or_default().leases += 1;
         }
-        let pending = inner
-            .chunks
-            .values()
-            .filter(|c| !matches!(c.state, ChunkState::Done { .. }))
-            .count();
-        Acquired { grant, pending }
+        Acquired {
+            grant,
+            pending: inner.pending(),
+        }
     }
 
     /// Renews a lease's deadline. A lease past its deadline but not yet
@@ -447,6 +521,7 @@ impl LeaseTable {
         let stats = inner.workers.entry(worker.to_owned()).or_default();
         stats.chunks += 1;
         stats.sites += sites;
+        inner.completions += 1;
         drop(inner);
         self.progress.notify_all();
         Submission::Accepted
@@ -479,13 +554,31 @@ impl LeaseTable {
         });
     }
 
-    /// Blocks until some chunk completes or `timeout` passes.
-    pub fn wait_progress(&self, timeout: Duration) {
-        let inner = self.inner.lock().expect("lease table poisoned");
-        let _unused = self
-            .progress
-            .wait_timeout(inner, timeout)
-            .expect("lease table poisoned");
+    /// The completion generation. Read it *before* `take_completed`, then
+    /// pass it to [`LeaseTable::wait_progress`]: a completion landing
+    /// between the two calls is then never missed.
+    #[must_use]
+    pub fn completions(&self) -> u64 {
+        self.inner.lock().expect("lease table poisoned").completions
+    }
+
+    /// Blocks until some chunk completes after generation `seen` was read
+    /// (returning at once if one already has), the table closes, or
+    /// `timeout` passes.
+    pub fn wait_progress(&self, seen: u64, timeout: Duration) {
+        let give_up = Instant::now() + timeout;
+        let mut inner = self.inner.lock().expect("lease table poisoned");
+        while inner.completions == seen && !inner.closed {
+            let now = Instant::now();
+            if now >= give_up {
+                return;
+            }
+            inner = self
+                .progress
+                .wait_timeout(inner, give_up - now)
+                .expect("lease table poisoned")
+                .0;
+        }
     }
 
     /// Total lease requeues (expired leases returned to the pool).
@@ -552,11 +645,7 @@ impl LeaseTable {
     pub fn render_metrics(&self, out: &mut String) {
         use std::fmt::Write as _;
         let inner = self.inner.lock().expect("lease table poisoned");
-        let pending = inner
-            .chunks
-            .values()
-            .filter(|c| !matches!(c.state, ChunkState::Done { .. }))
-            .count();
+        let pending = inner.pending();
         let _ = writeln!(out, "# TYPE fsp_fleet_chunks_pending gauge");
         let _ = writeln!(out, "fsp_fleet_chunks_pending {pending}");
         let _ = writeln!(out, "# TYPE fsp_fleet_lease_requeues_total counter");
@@ -716,6 +805,96 @@ mod tests {
         assert_eq!(back.launch, g.launch);
         assert_eq!(back.ttl, g.ttl);
         assert_eq!(back.sites, g.sites);
+    }
+
+    #[test]
+    fn parked_acquire_is_granted_on_publish() {
+        let t = table(10_000);
+        let (acquired, waited) = std::thread::scope(|scope| {
+            let parked = scope.spawn(|| {
+                let start = Instant::now();
+                (
+                    t.acquire_wait("w1", Duration::from_secs(5)),
+                    start.elapsed(),
+                )
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            t.publish(vec![spec("job-1", 0, 0, 2)]);
+            parked.join().expect("parked acquire")
+        });
+        assert!(acquired.grant.is_some(), "woken by the publish");
+        assert!(waited < Duration::from_secs(2), "woke after {waited:?}");
+    }
+
+    #[test]
+    fn parked_acquire_steals_at_the_lease_deadline() {
+        let t = table(50);
+        t.publish(vec![spec("job-1", 0, 0, 2)]);
+        let held = t.acquire("w1").grant.expect("granted");
+        let start = Instant::now();
+        let stolen = t.acquire_wait("w2", Duration::from_secs(2));
+        let waited = start.elapsed();
+        assert_eq!(stolen.grant.expect("stolen").lease, held.lease);
+        assert_eq!(t.requeues(), 1);
+        assert!(
+            waited < Duration::from_millis(50 + 500),
+            "stole after {waited:?}"
+        );
+    }
+
+    #[test]
+    fn zero_wait_returns_at_once() {
+        let t = table(10_000);
+        t.publish(vec![spec("job-1", 0, 0, 2)]);
+        let _held = t.acquire("w1").grant.expect("granted");
+        let start = Instant::now();
+        let a = t.acquire_wait("w2", Duration::ZERO);
+        assert!(a.grant.is_none());
+        assert_eq!(a.pending, 1);
+        assert!(start.elapsed() < Duration::from_millis(100));
+    }
+
+    #[test]
+    fn parked_acquire_returns_when_the_fleet_drains_or_closes() {
+        let t = table(10_000);
+        t.publish(vec![spec("job-1", 0, 0, 2)]);
+        let held = t.acquire("w1").grant.expect("granted");
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| t.acquire_wait("w2", Duration::from_secs(5)));
+            std::thread::sleep(Duration::from_millis(20));
+            t.complete(&held.lease, "w1", &outcomes_for(&held));
+            let drained = parked.join().expect("parked acquire");
+            assert!(drained.grant.is_none());
+            assert_eq!(drained.pending, 0, "a drained fleet answers at once");
+
+            let parked = scope.spawn(|| {
+                let start = Instant::now();
+                t.acquire_wait("w2", Duration::from_secs(5));
+                start.elapsed()
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            t.close();
+            let waited = parked.join().expect("parked acquire");
+            assert!(
+                waited < Duration::from_secs(2),
+                "close woke it after {waited:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn completion_between_take_and_wait_is_not_missed() {
+        let t = table(10_000);
+        t.publish(vec![spec("job-1", 0, 0, 2)]);
+        let g = t.acquire("w1").grant.expect("granted");
+        let seen = t.completions();
+        assert!(t.take_completed("job-1").is_empty());
+        // The completion lands in the gap before the supervisor waits.
+        t.complete(&g.lease, "w1", &outcomes_for(&g));
+        let start = Instant::now();
+        t.wait_progress(seen, Duration::from_secs(5));
+        assert!(start.elapsed() < Duration::from_millis(100));
+        assert_eq!(t.take_completed("job-1").len(), 1);
     }
 
     #[test]

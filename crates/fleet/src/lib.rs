@@ -29,7 +29,7 @@
 //!   FNV-checksummed site and outcome frames.
 //! - [`retry`] — capped exponential backoff with jitter, shared by the
 //!   worker runtime and the service client.
-//! - [`lease`] — the coordinator's lease table: publish, acquire,
+//! - [`lease`] — the coordinator's lease table: publish, long-poll acquire,
 //!   heartbeat, complete, requeue.
 //! - [`worker`] — the `fsp worker` runtime: lease loop, heartbeat
 //!   thread, campaign execution, outcome submission.

@@ -1,7 +1,8 @@
 //! Capped exponential backoff with deterministic jitter.
 //!
-//! Shared by the worker runtime (transient coordinator errors, empty lease
-//! polls) and the service client's `wait` polling. The jitter source is a
+//! Shared by the worker runtime (transport errors and outcome
+//! resubmission; empty lease polls park on the coordinator instead) and
+//! the service client's `wait` polling. The jitter source is a
 //! tiny xorshift stream seeded per [`Backoff`], so delay schedules are
 //! reproducible for a given seed yet decorrelated across workers.
 

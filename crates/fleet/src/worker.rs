@@ -5,9 +5,13 @@
 //! back, repeat. All fault tolerance lives in the protocol rather than in
 //! worker state:
 //!
+//! * an idle worker long-polls: each lease request asks the coordinator
+//!   to park it for up to `LEASE_WAIT` (500 ms) until work appears, so
+//!   there is no sleep between empty replies;
 //! * transient coordinator errors retry under capped exponential backoff
 //!   with jitter ([`crate::retry::Backoff`]);
-//! * a heartbeat thread renews the active lease at a third of its TTL; if
+//! * a heartbeat thread renews the active lease at a third of its TTL and
+//!   is woken by a channel the moment the campaign ends; if
 //!   the coordinator reports the lease stolen (409) or gone (404), a lost
 //!   flag cancels the running campaign between chunks and the lease is
 //!   abandoned — the rightful holder finishes it;
@@ -24,6 +28,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use fsp_inject::{CampaignObserver, Experiment, WeightedSite};
@@ -37,6 +42,12 @@ use crate::wire::{OutcomeFrame, OutcomeKey, SpanEntry, TraceFrame};
 /// How many consecutive transport failures a worker tolerates before
 /// concluding the coordinator is gone for good.
 const MAX_TRANSPORT_FAILURES: u32 = 60;
+
+/// How long every lease request asks the coordinator to park it while
+/// nothing is available (`"wait_ms"`). The coordinator answers as soon as
+/// work appears, so this only bounds how long a stopped worker takes to
+/// notice its stop flag while idle.
+const LEASE_WAIT: Duration = Duration::from_millis(500);
 
 /// Worker configuration.
 #[derive(Debug, Clone)]
@@ -162,11 +173,15 @@ pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSumm
     let mut cache = ExperimentCache::default();
     let mut summary = WorkerSummary::default();
     let seed = crate::wire::frame_fnv(config.name.as_bytes());
-    let mut poll = Backoff::poll(seed);
+    let mut backoff = Backoff::poll(seed);
     let mut failures = 0u32;
+    let body = Json::obj([
+        ("worker", Json::Str(config.name.clone())),
+        ("wait_ms", Json::u64(LEASE_WAIT.as_millis() as u64)),
+    ])
+    .to_string();
 
     while !stop.load(Ordering::Relaxed) {
-        let body = Json::obj([("worker", Json::Str(config.name.clone()))]).to_string();
         let response = match http(&config.addr, "POST", "/leases", &body) {
             Ok((200, body)) => body,
             Ok((status, body)) => {
@@ -176,22 +191,22 @@ pub fn run_worker(config: &WorkerConfig, stop: &AtomicBool) -> Result<WorkerSumm
             }
             Err(_) if failures + 1 < MAX_TRANSPORT_FAILURES => {
                 failures += 1;
-                poll.sleep();
+                backoff.sleep();
                 continue;
             }
             Err(e) => return Err(format!("coordinator unreachable: {e}")),
         };
         failures = 0;
+        backoff.reset();
         let value = Json::parse(&response).map_err(|e| format!("malformed grant: {e}"))?;
         if value.get("lease").and_then(Json::as_str).is_none() {
+            // The coordinator already parked this request: ask again.
             let pending = value.get("pending").and_then(Json::as_u64).unwrap_or(0);
             if pending == 0 && config.exit_when_idle {
                 return Ok(summary);
             }
-            poll.sleep();
             continue;
         }
-        poll.reset();
         let grant = Grant::from_json(&value)?;
         // A traced coordinator turns on this worker's tracer; the receipt
         // time is the rebase anchor for every span shipped with this
@@ -236,13 +251,14 @@ fn execute_lease(
     }
 
     let lost = AtomicBool::new(false);
-    let done = AtomicBool::new(false);
+    // Dropping the sender ends the heartbeat thread at once.
+    let (campaign_over, heartbeat_wake) = mpsc::channel::<()>();
     let completed = std::thread::scope(|scope| {
         // Heartbeat at a third of the TTL; tolerate transport errors (the
         // lease then simply risks expiry, which the protocol survives).
         scope.spawn(|| {
+            let heartbeat_wake = heartbeat_wake; // moved in: a Receiver is not Sync
             let interval = (grant.ttl / 3).max(Duration::from_millis(20));
-            let slice = Duration::from_millis(10);
             let renew = || {
                 fsp_obs::instant("worker.heartbeat", Some(grant.lease.clone()));
                 let body = Json::obj([("worker", Json::Str(config.name.clone()))]).to_string();
@@ -263,15 +279,8 @@ fn execute_lease(
                 lost.store(true, Ordering::Relaxed);
                 return;
             }
-            loop {
-                let mut slept = Duration::ZERO;
-                while slept < interval {
-                    if done.load(Ordering::Relaxed) || stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    std::thread::sleep(slice);
-                    slept += slice;
-                }
+            // A stopped worker cancels its campaign, which closes the channel too.
+            while let Err(RecvTimeoutError::Timeout) = heartbeat_wake.recv_timeout(interval) {
                 if !renew() {
                     lost.store(true, Ordering::Relaxed);
                     return;
@@ -290,7 +299,7 @@ fn execute_lease(
             &observer,
         );
         drop(campaign_span);
-        done.store(true, Ordering::Relaxed);
+        drop(campaign_over);
         if run.cancelled || !run.is_complete() {
             return None;
         }

@@ -392,12 +392,13 @@ impl Engine {
     }
 
     /// Grants a lease to `worker`, requeuing expired leases first
-    /// (`POST /leases`). When nothing is available the body carries the
-    /// count of still-pending chunks so idle workers can tell a drained
-    /// fleet from a fully-leased one.
+    /// (`POST /leases`), parking up to `wait` for one when nothing is
+    /// available (see [`LeaseTable::acquire_wait`]). When nothing comes
+    /// the body carries the count of still-pending chunks so idle workers
+    /// can tell a drained fleet from a fully-leased one.
     #[must_use]
-    pub fn fleet_acquire(&self, worker: &str) -> Json {
-        let acquired = self.shared.leases.acquire(worker);
+    pub fn fleet_acquire(&self, worker: &str, wait: Duration) -> Json {
+        let acquired = self.shared.leases.acquire_wait(worker, wait);
         match acquired.grant {
             Some(grant) => {
                 fsp_obs::instant(
@@ -594,6 +595,8 @@ impl Engine {
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         self.shared.queue_cv.notify_all();
+        // Wakes parked lease requests and fleet supervisors.
+        self.shared.leases.close();
         let workers: Vec<_> = self
             .workers
             .lock()
@@ -1495,9 +1498,12 @@ fn fleet_campaign_through_store(
             }
             return Err(RunEnd::Cancelled);
         }
+        let seen = shared.leases.completions();
         let delivered = shared.leases.take_completed(id);
         if delivered.is_empty() {
-            shared.leases.wait_progress(Duration::from_millis(200));
+            shared
+                .leases
+                .wait_progress(seen, Duration::from_millis(200));
             continue;
         }
         let mut fresh: Vec<(usize, Outcome)> = Vec::new();

@@ -8,7 +8,7 @@
 //! | GET    | `/jobs/:id/progress`     | live per-outcome estimates + intervals |
 //! | GET    | `/jobs/:id/result`       | canonical result document (409 early)  |
 //! | POST   | `/jobs/:id/cancel`       | `{"cancelled": true}`                  |
-//! | POST   | `/leases`                | `{"worker": name}` → lease grant or `{"lease": null, "pending": n}` |
+//! | POST   | `/leases`                | `{"worker": name, "wait_ms"?: n}` → lease grant or `{"lease": null, "pending": n}`; parks up to `wait_ms` (capped at 2 s) for a grant, answers at once without it |
 //! | POST   | `/leases/:id/heartbeat`  | `{"worker": name}` → `{"ttl_ms": n}` (404 gone, 409 stolen) |
 //! | POST   | `/leases/:id/outcomes`   | checksummed outcome frame → `{"accepted": n}` |
 //! | GET    | `/fleet`                 | fleet status (chunks, workers)         |
@@ -41,6 +41,10 @@ const MAX_BODY: usize = 1 << 20;
 /// slow, stalled or half-open client (a worker dying mid-request, a
 /// dropped network link) would otherwise pin its handler thread forever.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Longest a `POST /leases` long poll may park, whatever `wait_ms` asks:
+/// well inside [`SOCKET_TIMEOUT`], so a parked exchange never nears it.
+const MAX_LEASE_WAIT: Duration = Duration::from_secs(2);
 
 /// A bound, not-yet-serving HTTP server.
 #[derive(Debug)]
@@ -219,6 +223,21 @@ fn error_body(message: &str) -> String {
 
 const JSON: &str = "application/json";
 
+/// `POST /leases`. The optional `wait_ms` long-polls, capped at
+/// [`MAX_LEASE_WAIT`]; a request without it is answered at once.
+fn acquire_lease(engine: &Engine, request: &Json) -> Json {
+    let worker = request
+        .get("worker")
+        .and_then(Json::as_str)
+        .unwrap_or("anonymous");
+    let wait = request
+        .get("wait_ms")
+        .and_then(Json::as_u64)
+        .map_or(Duration::ZERO, Duration::from_millis)
+        .min(MAX_LEASE_WAIT);
+    engine.fleet_acquire(worker, wait)
+}
+
 fn route(engine: &Engine, method: &str, path: &str, body: &str) -> (u16, &'static str, String) {
     match (method, path) {
         ("POST", "/jobs") => match Json::parse(body).and_then(|v| {
@@ -230,13 +249,7 @@ fn route(engine: &Engine, method: &str, path: &str, body: &str) -> (u16, &'stati
         },
         ("GET", "/jobs") => (200, JSON, engine.jobs_json().to_string()),
         ("POST", "/leases") => match Json::parse(body) {
-            Ok(v) => {
-                let worker = v
-                    .get("worker")
-                    .and_then(Json::as_str)
-                    .unwrap_or("anonymous");
-                (200, JSON, engine.fleet_acquire(worker).to_string())
-            }
+            Ok(v) => (200, JSON, acquire_lease(engine, &v).to_string()),
             Err(e) => (400, JSON, error_body(&e)),
         },
         ("POST", _) if path.starts_with("/leases/") && path.ends_with("/heartbeat") => {

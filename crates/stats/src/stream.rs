@@ -317,10 +317,14 @@ impl StreamEstimator {
         }
         let f_dyn = self.dynamic_fraction();
         let certain = self.certain[class] / total;
+        let estimate = self.estimate(class);
+        // A score interval contains its point estimate; clamp so rounding
+        // cannot exclude it (at p = 0, `center - half` lands a few ulps
+        // either side of zero).
         ClassInterval {
-            estimate: self.estimate(class),
-            lo: (certain + f_dyn * (center - half)).max(0.0),
-            hi: (certain + f_dyn * (center + half)).min(1.0),
+            estimate,
+            lo: (certain + f_dyn * (center - half)).min(estimate).max(0.0),
+            hi: (certain + f_dyn * (center + half)).max(estimate).min(1.0),
         }
     }
 
@@ -626,6 +630,19 @@ mod tests {
         for (k, o) in OUTCOMES.iter().enumerate() {
             assert_eq!(class_index(*o), k);
             assert_eq!(o.code() as usize, k);
+        }
+    }
+
+    #[test]
+    fn empty_class_interval_contains_its_zero_estimate() {
+        // Wilson's lower bound at p = 0 is exactly 0; rounding used to
+        // put it just above 0 for about one n in five.
+        let mut est = StreamEstimator::new();
+        for _ in 0..200 {
+            est.record(Outcome::Masked);
+            let iv = est.wilson(Outcome::Sdc.code() as usize, 0.95);
+            assert_eq!(iv.estimate, 0.0);
+            assert!(iv.lo <= iv.estimate && iv.estimate <= iv.hi, "{iv:?}");
         }
     }
 
