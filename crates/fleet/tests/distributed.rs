@@ -1,10 +1,12 @@
 //! End-to-end distributed determinism: a real coordinator (engine + HTTP
-//! server) drained by two workers, one of which crashes holding a lease.
+//! server) drained by two workers, one of which crashes holding a lease,
+//! and an early-stopped job drained by two concurrent workers.
 //!
 //! This is the acceptance test for the fleet layer's core claim: the
 //! result document is **byte-identical** to an in-process `run_local`
-//! run regardless of worker count or kill schedule, expired leases are
-//! requeued (work stealing), and no fault site is double-counted.
+//! run regardless of worker count, kill schedule or early stop, expired
+//! leases are requeued (work stealing), and no fault site is
+//! double-counted.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -104,5 +106,59 @@ fn fleet_result_is_byte_identical_despite_worker_crash() {
     assert_eq!(
         fleet_result, local,
         "fleet result must be byte-identical to `fsp submit --local`"
+    );
+}
+
+#[test]
+fn early_stopped_fleet_result_is_byte_identical_to_local() {
+    let dir = scratch_dir("early-stop");
+    let config = EngineConfig::new(&dir).job_workers(1).chunk_sites(8);
+    let engine = Arc::new(Engine::open(config).expect("open engine"));
+    let handle = Server::bind("127.0.0.1:0", Arc::clone(&engine))
+        .expect("bind ephemeral port")
+        .spawn()
+        .expect("spawn server");
+    let addr = handle.addr().to_string();
+
+    let mut spec = JobSpec::sampled("gemm", 400).with_stop(0.1, 0.9);
+    spec.seed = 7;
+    let stop = AtomicBool::new(false);
+    let fleet_result = std::thread::scope(|scope| {
+        // Stops the workers however the scope ends, so a failed assertion
+        // fails the test instead of leaving the scope waiting on them.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let _stop_workers = StopOnDrop(&stop);
+        for name in ["w0", "w1"] {
+            let mut worker = WorkerConfig::new(&addr, name);
+            worker.campaign_workers = 1;
+            let stop = &stop;
+            scope.spawn(move || run_worker(&worker, stop).expect("worker loop"));
+        }
+        let job = engine.submit_with(spec.clone(), true).expect("submit");
+        assert!(
+            engine.wait_idle(Duration::from_secs(300)),
+            "fleet job never finished"
+        );
+        engine.result_json(&job).expect("completed job")
+    });
+    handle.stop();
+    engine.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(
+        fleet_result.get("early_stopped").and_then(Json::as_bool),
+        Some(true),
+        "the loose rule must fire at n=400"
+    );
+    let local = fsp_serve::run_local(&spec, 2).expect("local run");
+    assert_eq!(
+        fleet_result.to_string(),
+        local.to_string(),
+        "early-stopped fleet result must be byte-identical to `fsp submit --local`"
     );
 }

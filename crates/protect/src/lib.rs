@@ -31,6 +31,6 @@ pub use transform::{
     DYNAMIC_OVERHEAD, GROUP_OVERHEAD,
 };
 pub use verify::{
-    coverage_curve, harden_and_verify, remap_sites, HardenConfig, HardeningOutcome,
-    HardeningReport, ProtectError, ProtectedTarget,
+    coverage_curve, harden_and_verify, harden_and_verify_with, remap_sites, CampaignRunner,
+    HardenConfig, HardeningOutcome, HardeningReport, ProtectError, ProtectedTarget,
 };

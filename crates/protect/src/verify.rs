@@ -81,6 +81,9 @@ pub enum ProtectError {
     Harden(transform::HardenError),
     /// The kernel exposes no fault sites to measure against.
     EmptySiteSpace,
+    /// The hardened kernel's fault-free output differs from the
+    /// unprotected one's (a hardening bug, never expected).
+    NotTransparent,
 }
 
 impl std::fmt::Display for ProtectError {
@@ -92,6 +95,9 @@ impl std::fmt::Display for ProtectError {
             }
             ProtectError::Harden(e) => write!(f, "hardening failed: {e}"),
             ProtectError::EmptySiteSpace => write!(f, "kernel has no fault sites"),
+            ProtectError::NotTransparent => {
+                write!(f, "hardened kernel broke output transparency")
+            }
         }
     }
 }
@@ -118,7 +124,8 @@ pub struct HardenConfig {
     pub seed: u64,
     /// Fault model of both campaigns.
     pub model: FaultModel,
-    /// Campaign worker threads.
+    /// Campaign worker threads of [`harden_and_verify`]'s in-process
+    /// runner.
     pub workers: usize,
     /// Scale vulnerability by the statically-live bit fraction from
     /// fsp-analyze.
@@ -286,23 +293,87 @@ pub fn remap_sites(
         .collect()
 }
 
+/// Runs the two campaigns of [`harden_and_verify_with`]: the baseline
+/// over the unprotected target, then the re-injection over its
+/// [`ProtectedTarget`]. The seam lets a caller route both through its own
+/// scheduler or outcome cache without re-implementing the sequence.
+pub trait CampaignRunner {
+    /// What a campaign that did not finish returns.
+    type Error: From<ProtectError>;
+
+    /// Runs `sites` against `experiment` under `model` and returns one
+    /// outcome per site, in site order.
+    ///
+    /// # Errors
+    ///
+    /// Whatever stopped the campaign before every site was resolved.
+    fn run<T: InjectionTarget>(
+        &mut self,
+        experiment: &Experiment<'_, T>,
+        sites: &[WeightedSite],
+        model: FaultModel,
+    ) -> Result<Vec<Outcome>, Self::Error>;
+}
+
+/// The plain [`CampaignRunner`]: an in-process campaign on `workers`
+/// threads.
+struct InProcessRunner {
+    workers: usize,
+}
+
+impl CampaignRunner for InProcessRunner {
+    type Error = ProtectError;
+
+    fn run<T: InjectionTarget>(
+        &mut self,
+        experiment: &Experiment<'_, T>,
+        sites: &[WeightedSite],
+        model: FaultModel,
+    ) -> Result<Vec<Outcome>, ProtectError> {
+        Ok(experiment
+            .run_campaign_with(sites, model, self.workers)
+            .outcomes)
+    }
+}
+
 /// Plans, hardens and verifies: baseline campaign → planner → DMR
 /// transform → transparency check (fault-free golden equality) → remapped
-/// re-injection campaign.
+/// re-injection campaign, both campaigns in process on `config.workers`
+/// threads.
 ///
 /// # Errors
 ///
-/// [`ProtectError`] on workload faults, transformation failure or an
-/// empty site population.
+/// [`ProtectError`] on workload faults, transformation failure, a
+/// non-transparent hardening or an empty site population.
 pub fn harden_and_verify<T: InjectionTarget>(
     target: &T,
     config: &HardenConfig,
 ) -> Result<HardeningOutcome, ProtectError> {
+    harden_and_verify_with(
+        target,
+        config,
+        &mut InProcessRunner {
+            workers: config.workers,
+        },
+    )
+}
+
+/// [`harden_and_verify`] with both campaigns run by `runner`.
+///
+/// # Errors
+///
+/// [`ProtectError`] (converted into the runner's error) as for
+/// [`harden_and_verify`], or the runner's own error.
+pub fn harden_and_verify_with<T: InjectionTarget, R: CampaignRunner>(
+    target: &T,
+    config: &HardenConfig,
+    runner: &mut R,
+) -> Result<HardeningOutcome, R::Error> {
     let experiment = Experiment::prepare(target).map_err(ProtectError::Workload)?;
     let launch = target.launch();
     let space = experiment.site_space(0..launch.num_threads());
     if space.total_sites() == 0 {
-        return Err(ProtectError::EmptySiteSpace);
+        return Err(ProtectError::EmptySiteSpace.into());
     }
     let mut rng = StdRng::seed_from_u64(config.seed);
     let sites: Vec<WeightedSite> = space
@@ -310,7 +381,7 @@ pub fn harden_and_verify<T: InjectionTarget>(
         .into_iter()
         .map(WeightedSite::from)
         .collect();
-    let baseline_run = experiment.run_campaign_with(&sites, config.model, config.workers);
+    let baseline_outcomes = runner.run(&experiment, &sites, config.model)?;
 
     let program = launch.program();
     let ace = config.use_ace.then(|| StaticAceReport::analyze(program));
@@ -321,33 +392,31 @@ pub fn harden_and_verify<T: InjectionTarget>(
         program,
         space: &space,
         sites: &sites,
-        outcomes: &baseline_run.outcomes,
+        outcomes: &baseline_outcomes,
         ace: ace.as_ref(),
         classify: classify.as_ref(),
     };
     let plan = plan::plan(&inputs, config.scope, config.budget);
-    let hardened = transform::harden(program, &plan.selected_pcs)?;
+    let hardened = transform::harden(program, &plan.selected_pcs).map_err(ProtectError::from)?;
 
     let protected_target = ProtectedTarget::new(target, hardened.program.clone());
     let protected_exp = Experiment::prepare(&protected_target).map_err(ProtectError::Hardened)?;
     // Transparency: the hardened kernel must reproduce the golden output
     // bit-for-bit with no fault injected.
-    assert_eq!(
-        protected_exp.golden(),
-        experiment.golden(),
-        "hardening must be output-transparent on the fault-free run"
-    );
+    if protected_exp.golden() != experiment.golden() {
+        return Err(ProtectError::NotTransparent.into());
+    }
     let tids: BTreeSet<u32> = sites.iter().map(|ws| ws.site.tid).collect();
     let protected_space = protected_exp.site_space(tids);
     let mapped = remap_sites(&hardened, &space, &protected_space, &sites);
-    let protected_run = protected_exp.run_campaign_with(&mapped, config.model, config.workers);
+    let protected_outcomes = runner.run(&protected_exp, &mapped, config.model)?;
 
     let mut baseline_sdc_weight = 0.0;
     let mut converted = 0.0;
     for ((ws, base), prot) in sites
         .iter()
-        .zip(&baseline_run.outcomes)
-        .zip(&protected_run.outcomes)
+        .zip(&baseline_outcomes)
+        .zip(&protected_outcomes)
     {
         if *base == Outcome::Sdc {
             baseline_sdc_weight += ws.weight;
@@ -364,8 +433,8 @@ pub fn harden_and_verify<T: InjectionTarget>(
         candidate_static: transform::candidate_pcs(program).len(),
         protected_static: plan.selected_pcs.len(),
         samples: sites.len(),
-        baseline: baseline_run.profile,
-        protected: protected_run.profile,
+        baseline: profile_in_site_order(&sites, &baseline_outcomes),
+        protected: profile_in_site_order(&mapped, &protected_outcomes),
         converted_sdc_to_detected: converted,
         baseline_sdc_weight,
         baseline_instructions: experiment.fault_free_instructions(),
@@ -377,9 +446,20 @@ pub fn harden_and_verify<T: InjectionTarget>(
         plan,
         hardened,
         report,
-        baseline_outcomes: baseline_run.outcomes,
-        protected_outcomes: protected_run.outcomes,
+        baseline_outcomes,
+        protected_outcomes,
     })
+}
+
+/// The weighted profile of a campaign, accumulated in site order (the
+/// order [`Experiment::run_campaign_with`] accumulates in, so every
+/// runner reports bit-identical profiles).
+fn profile_in_site_order(sites: &[WeightedSite], outcomes: &[Outcome]) -> ResilienceProfile {
+    let mut profile = ResilienceProfile::new();
+    for (ws, o) in sites.iter().zip(outcomes) {
+        profile.record_weighted(*o, ws.weight);
+    }
+    profile
 }
 
 /// Sweeps budgets and returns one report per point — the

@@ -14,7 +14,7 @@
 //! job's profile is recomputed from the full outcome vector in site
 //! order, making it bit-identical to an uninterrupted run's.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -23,14 +23,22 @@ use std::time::{Duration, Instant};
 use fsp_core::{PruningConfig, PruningPipeline};
 use fsp_fleet::lease::{ChunkSpec, FleetConfig, LeaseTable, Submission};
 use fsp_fleet::wire::{OutcomeFrame, TraceFrame};
-use fsp_inject::{CampaignObserver, Experiment, InjectionTarget, WeightedSite};
+use fsp_inject::{CampaignObserver, Experiment, FaultSite, InjectionTarget, WeightedSite};
 use fsp_protect::{
-    harden, harden_and_verify, plan_protection, remap_sites, HardenConfig, PlanInputs,
-    ProtectScope, ProtectedTarget,
+    harden_and_verify, harden_and_verify_with, CampaignRunner, HardenConfig, ProtectError,
 };
 use fsp_stats::stream::{EarlyStop, StopRule, StreamEstimator};
 use fsp_stats::{Outcome, ResilienceProfile};
 use fsp_workloads::{program_fingerprint, Scale, Workload};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use crate::job::{
+    CampaignMode, EarlyStopReport, JobRecord, JobResult, JobSpec, JobState, StopSpec,
+};
+use crate::metrics::{mode_index, Metrics};
+use crate::store::OutcomeStore;
+use crate::{Json, OutcomeKey};
 
 /// Launch-hash component of store keys and result documents: the
 /// workload's launch-configuration hash mixed with the outcome
@@ -47,15 +55,6 @@ fn keyed_launch_hash(w: &Workload) -> u64 {
         ^ fsp_analyze::absint_version()
         ^ fsp_inject::batch_version()
 }
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::job::{
-    CampaignMode, EarlyStopReport, JobRecord, JobResult, JobSpec, JobState, StopSpec,
-};
-use crate::json::Json;
-use crate::metrics::{mode_index, Metrics};
-use crate::store::{OutcomeKey, OutcomeStore};
 
 /// Log records accumulated before the engine folds them into a fresh
 /// checkpoint (bounds recovery replay time).
@@ -286,9 +285,7 @@ impl Engine {
                 fsp_workloads::registry_ids().join(", ")
             ));
         }
-        if spec.stop.is_some() && matches!(spec.mode, CampaignMode::Protect { .. }) {
-            return Err("early stopping is not supported for protect jobs".to_owned());
-        }
+        spec.check()?;
         let id = format!(
             "job-{}",
             self.shared.next_id.fetch_add(1, Ordering::Relaxed)
@@ -446,21 +443,40 @@ impl Engine {
             Ok(frame) => frame,
             Err(e) => return (400, error_json(&e)),
         };
-        let Some(meta) = self.shared.leases.meta(lease) else {
-            return (
+        let stale = || {
+            (
                 200,
                 Json::obj([("accepted", Json::u64(0)), ("stale", Json::Bool(true))]),
-            );
+            )
         };
-        let model = meta.model.code();
-        if frame.records.iter().any(|(k, _)| {
-            k.fingerprint != meta.fingerprint || k.launch != meta.launch || k.model != model
-        }) {
-            return (
-                400,
-                error_json("frame records do not match the lease's campaign"),
-            );
-        }
+        // The store lock is held from the lease check to the completion:
+        // an early stop retracts a job's leases under the same lock, so a
+        // frame's records reach the store only if the supervisor will see
+        // its chunk (see `run_on_fleet`).
+        let submission = {
+            let mut store = self.shared.store.lock().expect("engine poisoned");
+            let Some(meta) = self.shared.leases.meta(lease) else {
+                return stale();
+            };
+            let model = meta.model.code();
+            if frame.records.iter().any(|(k, _)| {
+                k.fingerprint != meta.fingerprint || k.launch != meta.launch || k.model != model
+            }) {
+                return (
+                    400,
+                    error_json("frame records do not match the lease's campaign"),
+                );
+            }
+            for (key, outcome) in &frame.records {
+                if let Err(e) = store.insert(*key, *outcome) {
+                    eprintln!("fsp-serve: store append failed: {e}");
+                }
+            }
+            timed_flush(&mut store, &self.shared.metrics);
+            let outcomes: BTreeMap<_, _> =
+                frame.records.iter().map(|(k, o)| (k.site, *o)).collect();
+            self.shared.leases.complete(lease, &frame.worker, &outcomes)
+        };
         // Re-anchor any spans the worker shipped with the frame onto this
         // process's clock (see [`TraceFrame`]) so `GET /trace` renders a
         // single cross-process timeline.
@@ -488,23 +504,7 @@ impl Engine {
                 Err(e) => eprintln!("fsp-serve: dropping malformed trace frame: {e}"),
             }
         }
-        {
-            let mut store = self.shared.store.lock().expect("engine poisoned");
-            for (key, outcome) in &frame.records {
-                if let Err(e) = store.insert(*key, *outcome) {
-                    eprintln!("fsp-serve: store append failed: {e}");
-                }
-            }
-            let flush_start = fsp_obs::now_ns();
-            let _ = store.flush();
-            self.shared
-                .metrics
-                .store_flush_nanos
-                .record(fsp_obs::now_ns() - flush_start);
-        }
-        let outcomes: std::collections::BTreeMap<_, _> =
-            frame.records.iter().map(|(k, o)| (k.site, *o)).collect();
-        match self.shared.leases.complete(lease, &frame.worker, &outcomes) {
+        match submission {
             Submission::Accepted => {
                 fsp_obs::instant(
                     "serve.lease.complete",
@@ -520,11 +520,9 @@ impl Engine {
                 Json::obj([("accepted", Json::u64(0)), ("duplicate", Json::Bool(true))]),
             ),
             // The lease vanished between `meta` and `complete` (job
-            // retracted): the records were valid, treat as stale.
-            Submission::Unknown => (
-                200,
-                Json::obj([("accepted", Json::u64(0)), ("stale", Json::Bool(true))]),
-            ),
+            // cancelled or chunk pruned): the records were valid, treat
+            // as stale.
+            Submission::Unknown => stale(),
             Submission::Incomplete => (400, error_json("frame does not cover the lease's sites")),
         }
     }
@@ -640,102 +638,169 @@ pub fn kernels_json() -> Json {
 ///
 /// # Errors
 ///
-/// Returns a message for unknown kernels or workload faults.
+/// Returns a message for invalid specs, unknown kernels or workload
+/// faults.
 pub fn run_local(spec: &JobSpec, workers: usize) -> Result<Json, String> {
-    let workload = fsp_workloads::by_id(&spec.kernel, Scale::Eval)
-        .ok_or_else(|| format!("unknown kernel `{}`", spec.kernel))?;
-    if spec.stop.is_some() && matches!(spec.mode, CampaignMode::Protect { .. }) {
-        return Err("early stopping is not supported for protect jobs".to_owned());
+    spec.check()?;
+    match run_spec(spec, Placement::InProcess { workers }) {
+        Ok(result) => Ok(crate::job::result_to_json(spec, &result)),
+        Err(Halt::Failed(e)) => Err(e),
+        Err(Halt::Interrupted | Halt::Cancelled) => {
+            unreachable!("nothing halts an in-process campaign")
+        }
     }
-    if let CampaignMode::Protect {
+}
+
+/// Where a job's campaigns run. Placement never reaches the result
+/// document: every placement goes through [`run_spec`].
+#[derive(Clone, Copy)]
+enum Placement<'a> {
+    /// [`Experiment::run_campaign_incremental`] on `workers` threads, with
+    /// no store ([`run_local`]).
+    InProcess { workers: usize },
+    /// The engine's outcome store as cache; misses run on the engine's
+    /// campaign threads.
+    Pool(StoreJob<'a>),
+    /// The engine's outcome store as cache; misses are leased to the
+    /// worker fleet.
+    Fleet(StoreJob<'a>),
+}
+
+/// Why a job stopped without a result.
+enum Halt {
+    /// Stopped by engine shutdown: stays `running` on disk, resumes on
+    /// the next open.
+    Interrupted,
+    Cancelled,
+    Failed(String),
+}
+
+impl From<ProtectError> for Halt {
+    fn from(e: ProtectError) -> Halt {
+        Halt::Failed(e.to_string())
+    }
+}
+
+/// The one campaign sequence of every job, whatever its placement:
+/// prepare, plan, run, take the contiguous early-stop prefix, settle the
+/// statically accounted mass and report. Protect jobs run
+/// [`harden_and_verify_with`]'s sequence instead.
+fn run_spec(spec: &JobSpec, placement: Placement<'_>) -> Result<JobResult, Halt> {
+    let workload = fsp_workloads::by_id(&spec.kernel, Scale::Eval)
+        .ok_or_else(|| Halt::Failed(format!("unknown kernel `{}`", spec.kernel)))?;
+    let launch = keyed_launch_hash(&workload);
+    if matches!(spec.mode, CampaignMode::Protect { .. }) {
+        return run_protect(spec, placement, &workload, launch);
+    }
+    let experiment = Experiment::prepare(&workload)
+        .map_err(|e| Halt::Failed(format!("golden run failed: {e}")))?;
+    let planned = plan_sites(spec, &workload, &experiment).map_err(Halt::Failed)?;
+    let sites = &planned.sites;
+    let fingerprint = workload.fingerprint();
+    if let Placement::Pool(job) | Placement::Fleet(job) = placement {
+        if let Some(stages) = &planned.stages {
+            job.shared.metrics.record_plan(
+                stages,
+                planned.predicted_crash,
+                planned.predicted_detected,
+            );
+        }
+        job.reset_progress(sites.len(), planned.settled3());
+    }
+    let stopper = spec
+        .stop
+        .map(|stop| Mutex::new(new_stopper(stop, &planned)));
+    let stopper = stopper.as_ref();
+    let outcomes = match placement {
+        Placement::InProcess { workers } => {
+            let feed = CampaignFeed {
+                store: None,
+                stopper,
+            };
+            experiment
+                .run_campaign_incremental(sites, spec.model, workers, &[], &feed)
+                .outcomes
+        }
+        Placement::Pool(job) | Placement::Fleet(job) => campaign_through_store(
+            job,
+            spec,
+            &experiment,
+            sites,
+            fingerprint,
+            launch,
+            stopper,
+            matches!(placement, Placement::Fleet(_)),
+        )?,
+    };
+    // Early-stopped campaigns score only the contiguous stopped prefix in
+    // plan order — the deterministic basis that makes reruns and every
+    // placement byte-identical. Without a stopper the prefix is the whole
+    // plan.
+    let stopped_at = stopper.and_then(|s| s.lock().expect("stop tracker poisoned").stop_len());
+    let used = stopped_at.unwrap_or(sites.len());
+    let prefix: Vec<Outcome> = outcomes[..used]
+        .iter()
+        .map(|o| o.expect("contiguous resolved prefix"))
+        .collect();
+    // Final profile: recomputed over the complete outcome vector in site
+    // order, so cold, warm and resumed runs agree bit-for-bit.
+    let mut profile = profile_in_site_order(&sites[..used], &prefix);
+    planned.settle(&mut profile);
+    let early = spec.stop.map(|stop| {
+        early_report(
+            stop,
+            &planned,
+            &sites[..used],
+            &prefix,
+            stopped_at.is_some(),
+        )
+    });
+    if let (Placement::Pool(job) | Placement::Fleet(job), Some(_)) = (placement, early) {
+        // Cancellation is best-effort, so workers may overshoot the
+        // stopped prefix; re-baseline the record's streaming counters to
+        // the scored prefix so the progress document of a finished job
+        // agrees with its result document.
+        job.with_record(false, |record| {
+            record.outcome_counts = [0; 5];
+            record.sum_w2 = 0.0;
+            for (ws, o) in sites[..used].iter().zip(&prefix) {
+                record.outcome_counts[o.code() as usize] += 1;
+                record.sum_w2 += ws.weight * ws.weight;
+            }
+            if stopped_at.is_some() {
+                record.done = used;
+                record.cache_hits = record.cache_hits.min(used);
+            }
+        });
+    }
+    Ok(JobResult {
+        fingerprint,
+        launch,
+        sites: sites.len(),
+        profile,
+        early,
+    })
+}
+
+/// The protect sequence of [`run_spec`]: [`harden_and_verify_with`]
+/// with the placement's campaign runner. Protect jobs never reach the
+/// fleet (`submit_with` clears the flag), so store placements run both
+/// campaigns on the engine's own threads.
+fn run_protect(
+    spec: &JobSpec,
+    placement: Placement<'_>,
+    workload: &Workload,
+    launch: u64,
+) -> Result<JobResult, Halt> {
+    let CampaignMode::Protect {
         budget_millis,
         scope,
         samples,
     } = spec.mode
-    {
-        let outcome = harden_and_verify(
-            &workload,
-            &protect_config(spec, budget_millis, scope, samples, workers),
-        )
-        .map_err(|e| e.to_string())?;
-        return Ok(crate::job::result_to_json(
-            spec,
-            &JobResult {
-                fingerprint: program_fingerprint(&outcome.hardened.program),
-                launch: keyed_launch_hash(&workload),
-                sites: outcome.report.samples,
-                profile: outcome.report.protected,
-                early: None,
-            },
-        ));
-    }
-    let experiment = Experiment::prepare(&workload).map_err(|e| e.to_string())?;
-    let planned = plan_sites(spec, &workload, &experiment)?;
-    if let Some(stop) = spec.stop {
-        // Same incremental engine + prefix tracker as the service path,
-        // so `--local` and served early-stopped runs agree on the exact
-        // stopping prefix and produce byte-identical result documents.
-        let stopper = Mutex::new(new_stopper(stop, &planned));
-        let run = experiment.run_campaign_incremental(
-            &planned.sites,
-            spec.model,
-            workers,
-            &[],
-            &StopObserver { stopper: &stopper },
-        );
-        let tracker = stopper.into_inner().expect("stop tracker poisoned");
-        let used = tracker.stop_len().unwrap_or(planned.sites.len());
-        let prefix: Vec<Outcome> = run.outcomes[..used]
-            .iter()
-            .map(|o| o.expect("contiguous stopped prefix is resolved"))
-            .collect();
-        let mut profile = profile_in_site_order(&planned.sites[..used], &prefix);
-        planned.settle(&mut profile);
-        let early = early_report(
-            stop,
-            &planned,
-            &planned.sites[..used],
-            &prefix,
-            tracker.stop_len().is_some(),
-        );
-        return Ok(crate::job::result_to_json(
-            spec,
-            &JobResult {
-                fingerprint: workload.fingerprint(),
-                launch: keyed_launch_hash(&workload),
-                sites: planned.sites.len(),
-                profile,
-                early: Some(early),
-            },
-        ));
-    }
-    let result = experiment.run_campaign_with(&planned.sites, spec.model, workers);
-    let mut profile = result.profile;
-    planned.settle(&mut profile);
-    Ok(crate::job::result_to_json(
-        spec,
-        &JobResult {
-            fingerprint: workload.fingerprint(),
-            launch: keyed_launch_hash(&workload),
-            sites: planned.sites.len(),
-            profile,
-            early: None,
-        },
-    ))
-}
-
-/// The [`HardenConfig`] equivalent of a protect job spec. The engine path
-/// mirrors every field of this (same seed, same sample count, no ACE
-/// scaling) so the library and service paths plan identical protections
-/// and report identical profiles.
-fn protect_config(
-    spec: &JobSpec,
-    budget_millis: u32,
-    scope: ProtectScope,
-    samples: usize,
-    workers: usize,
-) -> HardenConfig {
-    HardenConfig {
+    else {
+        unreachable!("run_spec routes only protect jobs here")
+    };
+    let config = |workers| HardenConfig {
         scope,
         budget: f64::from(budget_millis) / 1000.0,
         samples,
@@ -743,7 +808,24 @@ fn protect_config(
         model: spec.model,
         workers,
         use_ace: false,
-    }
+    };
+    let outcome = match placement {
+        Placement::InProcess { workers } => harden_and_verify(workload, &config(workers))?,
+        Placement::Pool(job) | Placement::Fleet(job) => {
+            // Two campaigns of equal site count: baseline, then
+            // re-injection.
+            job.reset_progress(2 * samples, [0.0; 3]);
+            let mut runner = StoreRunner { job, spec, launch };
+            harden_and_verify_with(workload, &config(job.shared.campaign_workers), &mut runner)?
+        }
+    };
+    Ok(JobResult {
+        fingerprint: program_fingerprint(&outcome.hardened.program),
+        launch,
+        sites: outcome.report.samples,
+        profile: outcome.report.protected,
+        early: None,
+    })
 }
 
 /// A planned campaign: the sites to run plus the weight the planner
@@ -792,8 +874,7 @@ impl PlannedCampaign {
 }
 
 /// Deterministically expands a spec into its weighted site list and
-/// statically-accounted weights. Shared by the engine and [`run_local`],
-/// so the service and library paths run byte-identical campaigns.
+/// statically-accounted weights.
 fn plan_sites(
     spec: &JobSpec,
     workload: &fsp_workloads::Workload,
@@ -836,8 +917,8 @@ fn plan_sites(
                 stages: None,
             })
         }
-        // Protect jobs run two campaigns against two programs; both
-        // callers branch to their protect paths before planning sites.
+        // Protect jobs run two campaigns against two programs;
+        // `run_spec` branches to their sequence before planning sites.
         CampaignMode::Protect { .. } => unreachable!("protect jobs never reach plan_sites"),
     }
 }
@@ -869,28 +950,6 @@ fn early_report(
         stopped,
         sites_injected: sites.len(),
         achieved_margin: est.achieved_margin(stop.confidence),
-    }
-}
-
-/// Observer for `run_local` early-stopped campaigns: feeds the prefix
-/// tracker and cancels the worker pool once the rule fires.
-struct StopObserver<'a> {
-    stopper: &'a Mutex<EarlyStop>,
-}
-
-impl CampaignObserver for StopObserver<'_> {
-    fn on_chunk(&self, indices: &[usize], outcomes: &[Outcome]) {
-        let mut tracker = self.stopper.lock().expect("stop tracker poisoned");
-        for (&i, &o) in indices.iter().zip(outcomes) {
-            tracker.resolve(i, o);
-        }
-    }
-
-    fn should_cancel(&self) -> bool {
-        self.stopper
-            .lock()
-            .expect("stop tracker poisoned")
-            .should_stop()
     }
 }
 
@@ -927,15 +986,6 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-enum RunEnd {
-    Completed(JobResult),
-    /// Stopped by engine shutdown: stays `running` on disk, resumes on
-    /// the next open.
-    Interrupted,
-    Cancelled,
-    Failed(String),
-}
-
 fn run_job(shared: &Shared, id: &str) {
     let (spec, fleet) = {
         let mut jobs = shared.jobs.lock().expect("engine poisoned");
@@ -958,7 +1008,19 @@ fn run_job(shared: &Shared, id: &str) {
         .insert(id.to_owned(), Arc::clone(&cancel));
     let end = {
         let _job = fsp_obs::span_labeled("serve.job", format!("{id} {}", spec.kernel));
-        execute(shared, id, &spec, fleet, &cancel)
+        let job = StoreJob {
+            shared,
+            id,
+            cancel: &cancel,
+        };
+        run_spec(
+            &spec,
+            if fleet {
+                Placement::Fleet(job)
+            } else {
+                Placement::Pool(job)
+            },
+        )
     };
     shared
         .cancel_flags
@@ -970,7 +1032,7 @@ fn run_job(shared: &Shared, id: &str) {
         return;
     };
     match end {
-        RunEnd::Completed(result) => {
+        Ok(result) => {
             record.state = JobState::Completed;
             // An early-stopped campaign legitimately finishes with
             // unresolved tail sites; keep its true progress count.
@@ -982,12 +1044,12 @@ fn run_job(shared: &Shared, id: &str) {
             shared.metrics.jobs_completed.inc();
             shared.metrics.jobs_completed_by_mode[mode_index(spec.mode.mode_name())].inc();
         }
-        RunEnd::Interrupted => return, // stays `running` on disk
-        RunEnd::Cancelled => {
+        Err(Halt::Interrupted) => return, // stays `running` on disk
+        Err(Halt::Cancelled) => {
             record.state = JobState::Cancelled;
             shared.metrics.jobs_cancelled.inc();
         }
-        RunEnd::Failed(error) => {
+        Err(Halt::Failed(error)) => {
             record.state = JobState::Failed;
             record.error = Some(error);
             shared.metrics.jobs_failed.inc();
@@ -996,277 +1058,156 @@ fn run_job(shared: &Shared, id: &str) {
     persist(&shared.jobs_dir, record);
 }
 
-#[allow(clippy::too_many_lines)]
-fn execute(shared: &Shared, id: &str, spec: &JobSpec, fleet: bool, cancel: &AtomicBool) -> RunEnd {
-    let Some(workload) = fsp_workloads::by_id(&spec.kernel, Scale::Eval) else {
-        return RunEnd::Failed(format!("unknown kernel `{}`", spec.kernel));
-    };
-    let experiment = match Experiment::prepare(&workload) {
-        Ok(e) => e,
-        Err(e) => return RunEnd::Failed(format!("golden run failed: {e}")),
-    };
-    if let CampaignMode::Protect {
-        budget_millis,
-        scope,
-        samples,
-    } = spec.mode
-    {
-        return execute_protect(
-            shared,
-            id,
-            spec,
-            cancel,
-            &workload,
-            &experiment,
-            budget_millis,
-            scope,
-            samples,
-        );
-    }
-    let planned = match plan_sites(spec, &workload, &experiment) {
-        Ok(planned) => planned,
-        Err(e) => return RunEnd::Failed(e),
-    };
-    if let Some(stages) = &planned.stages {
-        shared
-            .metrics
-            .record_plan(stages, planned.predicted_crash, planned.predicted_detected);
-    }
-    let sites = &planned.sites;
-    let fingerprint = workload.fingerprint();
-    let launch = keyed_launch_hash(&workload);
-    reset_progress(shared, id, sites.len(), planned.settled3());
-    let stopper = spec
-        .stop
-        .map(|stop| Mutex::new(new_stopper(stop, &planned)));
-    let campaign = if fleet {
-        fleet_campaign_through_store(
-            shared,
-            id,
-            spec,
-            sites,
-            fingerprint,
-            launch,
-            workload.launch().threads_per_cta(),
-            cancel,
-            stopper.as_ref(),
-        )
-    } else {
-        campaign_through_store(
-            shared,
-            id,
-            spec,
-            &experiment,
-            sites,
-            fingerprint,
-            launch,
-            cancel,
-            stopper.as_ref(),
-        )
-    };
-    let outcomes = match campaign {
-        Ok(outcomes) => outcomes,
-        Err(end) => return end,
-    };
-    // Early-stopped campaigns score only the contiguous stopped prefix in
-    // plan order — the deterministic basis that makes reruns and
-    // local/fleet placements byte-identical. Without a stopper the prefix
-    // is the whole plan.
-    let stopped_at = stopper
-        .as_ref()
-        .and_then(|s| s.lock().expect("stop tracker poisoned").stop_len());
-    let used = stopped_at.unwrap_or(sites.len());
-    let prefix: Vec<Outcome> = outcomes[..used]
-        .iter()
-        .map(|o| o.expect("contiguous resolved prefix"))
-        .collect();
-    // Final profile: recomputed over the complete outcome vector in site
-    // order, so cold, warm and resumed runs agree bit-for-bit.
-    let mut profile = profile_in_site_order(&sites[..used], &prefix);
-    planned.settle(&mut profile);
-    let early = spec.stop.map(|stop| {
-        early_report(
-            stop,
-            &planned,
-            &sites[..used],
-            &prefix,
-            stopped_at.is_some(),
-        )
-    });
-    if early.is_some() {
-        // Cancellation is best-effort, so workers may overshoot the
-        // stopped prefix; re-baseline the record's streaming counters to
-        // the scored prefix so the progress document of a finished job
-        // agrees with its result document.
-        let mut counts = [0u64; 5];
-        let mut sum_w2 = 0.0;
-        for (ws, o) in sites[..used].iter().zip(&prefix) {
-            counts[o.code() as usize] += 1;
-            sum_w2 += ws.weight * ws.weight;
+/// A job running on the engine: the shared state, the job's id and its
+/// cancel flag.
+#[derive(Clone, Copy)]
+struct StoreJob<'a> {
+    shared: &'a Shared,
+    id: &'a str,
+    cancel: &'a AtomicBool,
+}
+
+impl StoreJob<'_> {
+    /// The halt engine shutdown or a cancel request has called for, if any.
+    fn halt(&self) -> Option<Halt> {
+        if self.shared.shutdown.load(Ordering::Relaxed) {
+            Some(Halt::Interrupted)
+        } else if self.cancel.load(Ordering::Relaxed) {
+            Some(Halt::Cancelled)
+        } else {
+            None
         }
-        let mut jobs = shared.jobs.lock().expect("engine poisoned");
-        if let Some(record) = jobs.get_mut(id) {
-            record.outcome_counts = counts;
-            record.sum_w2 = sum_w2;
-            if stopped_at.is_some() {
-                record.done = used;
-                record.cache_hits = record.cache_hits.min(used);
+    }
+
+    /// Updates the job's record under the jobs lock, then persists it if
+    /// asked.
+    fn with_record(&self, persist_record: bool, update: impl FnOnce(&mut JobRecord)) {
+        let mut jobs = self.shared.jobs.lock().expect("engine poisoned");
+        if let Some(record) = jobs.get_mut(self.id) {
+            update(record);
+            if persist_record {
+                persist(&self.shared.jobs_dir, record);
             }
         }
     }
-    RunEnd::Completed(JobResult {
-        fingerprint,
-        launch,
-        sites: sites.len(),
-        profile,
-        early,
+
+    /// Resets the job's progress counters for a (re)run. Resumed jobs
+    /// reload stale `done`/`partial` values from disk; the store replay
+    /// re-derives them.
+    fn reset_progress(&self, total: usize, settled: [f64; 3]) {
+        self.with_record(true, |record| {
+            record.total = total;
+            record.done = 0;
+            record.cache_hits = 0;
+            record.partial = ResilienceProfile::new();
+            record.outcome_counts = [0; 5];
+            record.sum_w2 = 0.0;
+            record.settled = settled;
+        });
+    }
+
+    /// Credits resolved `(plan index, outcome)` pairs to the record's live
+    /// counters and the per-outcome job metric.
+    fn tally(
+        &self,
+        record: &mut JobRecord,
+        sites: &[WeightedSite],
+        resolved: impl IntoIterator<Item = (usize, Outcome)>,
+    ) {
+        for (i, o) in resolved {
+            let w = sites[i].weight;
+            record.done += 1;
+            record.partial.record_weighted(o, w);
+            record.outcome_counts[o.code() as usize] += 1;
+            record.sum_w2 += w * w;
+            self.shared.metrics.job_outcome_total[o.code() as usize].inc();
+        }
+    }
+}
+
+/// Feeds resolved `(plan index, outcome)` pairs to the early-stop tracker,
+/// if there is one; returns whether its rule has fired.
+fn feed(
+    stopper: Option<&Mutex<EarlyStop>>,
+    resolved: impl IntoIterator<Item = (usize, Outcome)>,
+) -> bool {
+    stopper.is_some_and(|s| {
+        let mut tracker = s.lock().expect("stop tracker poisoned");
+        for (i, o) in resolved {
+            tracker.resolve(i, o);
+        }
+        tracker.should_stop()
     })
 }
 
-/// The engine path of a protect job, mirroring
-/// [`fsp_protect::harden_and_verify`] with both campaigns routed through
-/// the outcome store: the baseline campaign shares cache entries with
-/// plain sampled jobs of the same kernel, and the re-injection campaign
-/// keys its outcomes under the *hardened* program's fingerprint, so
-/// resubmitting the same protect spec is a pure warm read.
-#[allow(clippy::too_many_arguments)]
-fn execute_protect(
-    shared: &Shared,
-    id: &str,
-    spec: &JobSpec,
-    cancel: &AtomicBool,
-    workload: &fsp_workloads::Workload,
-    experiment: &Experiment<'_, fsp_workloads::Workload>,
-    budget_millis: u32,
-    scope: ProtectScope,
-    samples: usize,
-) -> RunEnd {
-    let launch = workload.launch();
-    let space = experiment.site_space(0..launch.num_threads());
-    if space.total_sites() == 0 {
-        return RunEnd::Failed("kernel has no fault sites".to_owned());
-    }
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let sites: Vec<WeightedSite> = space
-        .sample_many(samples, &mut rng)
-        .into_iter()
-        .map(WeightedSite::from)
-        .collect();
-    let launch_hash = keyed_launch_hash(workload);
-    // Two campaigns of equal site count: baseline, then re-injection.
-    reset_progress(shared, id, sites.len() * 2, [0.0; 3]);
-    let baseline_outcomes: Vec<Outcome> = match campaign_through_store(
-        shared,
-        id,
-        spec,
-        experiment,
-        &sites,
-        workload.fingerprint(),
-        launch_hash,
-        cancel,
-        None,
-    ) {
-        Ok(outcomes) => outcomes
-            .into_iter()
-            .map(|o| o.expect("uncancelled campaign resolves every site"))
-            .collect(),
-        Err(end) => return end,
-    };
-
-    // Plan and transform. Planning is deterministic in (spec, store
-    // outcomes), so a resumed or resubmitted job re-derives the same
-    // hardened program and hits the same store keys.
-    let program = launch.program();
-    let plan = plan_protection(
-        &PlanInputs {
-            program,
-            space: &space,
-            sites: &sites,
-            outcomes: &baseline_outcomes,
-            ace: None,
-            classify: None,
-        },
-        scope,
-        f64::from(budget_millis) / 1000.0,
-    );
-    let hardened = match harden(program, &plan.selected_pcs) {
-        Ok(hardened) => hardened,
-        Err(e) => return RunEnd::Failed(format!("hardening failed: {e}")),
-    };
-    let protected_target = ProtectedTarget::new(workload, hardened.program.clone());
-    let protected_exp = match Experiment::prepare(&protected_target) {
-        Ok(e) => e,
-        Err(e) => return RunEnd::Failed(format!("hardened golden run failed: {e}")),
-    };
-    if protected_exp.golden() != experiment.golden() {
-        return RunEnd::Failed("hardened kernel broke output transparency".to_owned());
-    }
-    let tids: BTreeSet<u32> = sites.iter().map(|ws| ws.site.tid).collect();
-    let protected_space = protected_exp.site_space(tids);
-    let mapped = remap_sites(&hardened, &space, &protected_space, &sites);
-
-    let outcomes: Vec<Outcome> = match campaign_through_store(
-        shared,
-        id,
-        spec,
-        &protected_exp,
-        &mapped,
-        program_fingerprint(&hardened.program),
-        launch_hash,
-        cancel,
-        None,
-    ) {
-        Ok(outcomes) => outcomes
-            .into_iter()
-            .map(|o| o.expect("uncancelled campaign resolves every site"))
-            .collect(),
-        Err(end) => return end,
-    };
-    RunEnd::Completed(JobResult {
-        fingerprint: program_fingerprint(&hardened.program),
-        launch: launch_hash,
-        sites: sites.len(),
-        profile: profile_in_site_order(&mapped, &outcomes),
-        early: None,
-    })
+/// The [`CampaignRunner`] of protect jobs on the engine: both campaigns
+/// go through the outcome store, keyed under the fingerprint of the
+/// program each one runs. The baseline therefore shares cache entries
+/// with sampled jobs of the same kernel, the re-injection keys its
+/// outcomes under the *hardened* program, and resubmitting the same
+/// protect spec is a pure warm read.
+struct StoreRunner<'a> {
+    job: StoreJob<'a>,
+    spec: &'a JobSpec,
+    launch: u64,
 }
 
-/// Resets a job's progress counters for a (re)run. Resumed jobs reload
-/// stale `done`/`partial` values from disk; the store replay below
-/// re-derives them.
-fn reset_progress(shared: &Shared, id: &str, total: usize, settled: [f64; 3]) {
-    let mut jobs = shared.jobs.lock().expect("engine poisoned");
-    if let Some(record) = jobs.get_mut(id) {
-        record.total = total;
-        record.done = 0;
-        record.cache_hits = 0;
-        record.partial = ResilienceProfile::new();
-        record.outcome_counts = [0; 5];
-        record.sum_w2 = 0.0;
-        record.settled = settled;
-        persist(&shared.jobs_dir, record);
+impl CampaignRunner for StoreRunner<'_> {
+    type Error = Halt;
+
+    fn run<T: InjectionTarget>(
+        &mut self,
+        experiment: &Experiment<'_, T>,
+        sites: &[WeightedSite],
+        _model: fsp_inject::FaultModel,
+    ) -> Result<Vec<Outcome>, Halt> {
+        let fingerprint = program_fingerprint(experiment.target().launch().program());
+        let outcomes = campaign_through_store(
+            self.job,
+            self.spec,
+            experiment,
+            sites,
+            fingerprint,
+            self.launch,
+            None,
+            false,
+        )?;
+        Ok(outcomes
+            .into_iter()
+            .map(|o| o.expect("uncancelled campaign resolves every site"))
+            .collect())
     }
 }
 
 /// Runs one campaign with the store as cache: resolves hits under the
-/// given program fingerprint, injects only the misses (persisting each
-/// chunk), and returns the complete outcome vector in site order.
-/// Progress is *added* to the job record so a job can chain campaigns.
+/// given program fingerprint, runs only the misses — on the engine's
+/// campaign threads, or leased to the worker fleet — and returns the
+/// outcome vector in site order. Progress is *added* to the job record so
+/// a job can chain campaigns.
 ///
-/// `Err` carries the terminal [`RunEnd`] when the campaign was stopped.
+/// `Err` carries the [`Halt`] when shutdown or cancellation stopped the
+/// campaign. An early stop returns `Ok`: the contiguous resolved prefix
+/// is complete, which is all the caller scores.
 #[allow(clippy::too_many_arguments)]
 fn campaign_through_store<T: InjectionTarget>(
-    shared: &Shared,
-    id: &str,
+    job: StoreJob<'_>,
     spec: &JobSpec,
     experiment: &Experiment<'_, T>,
     sites: &[WeightedSite],
     fingerprint: u64,
     launch: u64,
-    cancel: &AtomicBool,
     stopper: Option<&Mutex<EarlyStop>>,
-) -> Result<Vec<Option<Outcome>>, RunEnd> {
-    let _campaign = fsp_obs::span_labeled("serve.campaign", id.to_owned());
+    fleet: bool,
+) -> Result<Vec<Option<Outcome>>, Halt> {
+    let shared = job.shared;
+    let _campaign = fsp_obs::span_labeled(
+        if fleet {
+            "serve.fleet_campaign"
+        } else {
+            "serve.campaign"
+        },
+        job.id.to_owned(),
+    );
     let keys: Vec<OutcomeKey> = sites
         .iter()
         .map(|ws| OutcomeKey::new(fingerprint, launch, spec.model, ws.site))
@@ -1274,91 +1215,77 @@ fn campaign_through_store<T: InjectionTarget>(
 
     // Drain the store: anything this service ever injected for these keys
     // is a hit; only the misses run.
-    let resolved: Vec<Option<Outcome>> = {
+    let mut outcomes: Vec<Option<Outcome>> = {
         let store = shared.store.lock().expect("engine poisoned");
         keys.iter().map(|k| store.get(k)).collect()
     };
-    let hits = resolved.iter().filter(|o| o.is_some()).count();
-    {
-        let mut jobs = shared.jobs.lock().expect("engine poisoned");
-        if let Some(record) = jobs.get_mut(id) {
-            record.done += hits;
-            record.cache_hits += hits;
-            for (ws, o) in sites.iter().zip(&resolved) {
-                if let Some(o) = o {
-                    record.partial.record_weighted(*o, ws.weight);
-                    record.outcome_counts[o.code() as usize] += 1;
-                    record.sum_w2 += ws.weight * ws.weight;
-                    shared.metrics.job_outcome_total[o.code() as usize].inc();
-                }
-            }
-            persist(&shared.jobs_dir, record);
-        }
-    }
-    if let Some(stopper) = stopper {
-        let mut tracker = stopper.lock().expect("stop tracker poisoned");
-        for (i, o) in resolved.iter().enumerate() {
-            if let Some(o) = o {
-                tracker.resolve(i, *o);
-            }
-        }
-    }
-
-    let observer = EngineObserver {
-        shared,
-        id,
-        keys: &keys,
-        sites,
-        cancel,
-        stopper,
-    };
+    let hits: Vec<(usize, Outcome)> = outcomes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, o)| o.map(|o| (i, o)))
+        .collect();
+    job.with_record(true, |record| {
+        record.cache_hits += hits.len();
+        job.tally(record, sites, hits.iter().copied());
+    });
     let started = Instant::now();
-    let run = experiment.run_campaign_incremental(
-        sites,
-        spec.model,
-        shared.campaign_workers,
-        &resolved,
-        &observer,
-    );
+    let (injected, halted) = if feed(stopper, hits.iter().copied()) {
+        // The cached prefix alone satisfies the stop rule: nothing to run.
+        (0, false)
+    } else if fleet {
+        let threads_per_cta = experiment.target().launch().threads_per_cta();
+        run_on_fleet(
+            job,
+            spec,
+            sites,
+            &mut outcomes,
+            fingerprint,
+            launch,
+            threads_per_cta,
+            stopper,
+        )
+    } else {
+        let feed = CampaignFeed {
+            store: Some((job, &keys, sites)),
+            stopper,
+        };
+        let run = experiment.run_campaign_incremental(
+            sites,
+            spec.model,
+            shared.campaign_workers,
+            &outcomes,
+            &feed,
+        );
+        shared.metrics.record_fast_path(
+            run.checkpoint_hits,
+            run.skipped_instructions,
+            run.early_converged,
+        );
+        timed_flush(
+            &mut shared.store.lock().expect("engine poisoned"),
+            &shared.metrics,
+        );
+        outcomes = run.outcomes;
+        (run.injected, run.cancelled)
+    };
     shared.metrics.record_campaign(
         mode_index(spec.mode.mode_name()),
-        hits as u64,
-        run.injected as u64,
+        hits.len() as u64,
+        injected as u64,
         started.elapsed().as_nanos() as u64,
-    );
-    shared.metrics.record_fast_path(
-        run.checkpoint_hits,
-        run.skipped_instructions,
-        run.early_converged,
     );
     {
         let mut store = shared.store.lock().expect("engine poisoned");
-        let flush_start = fsp_obs::now_ns();
-        let _ = store.flush();
-        shared
-            .metrics
-            .store_flush_nanos
-            .record(fsp_obs::now_ns() - flush_start);
         if store.appended_since_checkpoint() >= CHECKPOINT_EVERY {
             if let Err(e) = store.checkpoint() {
                 eprintln!("fsp-serve: store checkpoint failed: {e}");
             }
         }
     }
-    if run.cancelled {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return Err(RunEnd::Interrupted);
-        }
-        if cancel.load(Ordering::Relaxed) {
-            return Err(RunEnd::Cancelled);
-        }
-        // Cancelled by the stop tracker: the contiguous resolved prefix
-        // is complete, which is all the caller scores.
-        debug_assert!(
-            stopper.is_some_and(|s| s.lock().expect("stop tracker poisoned").should_stop())
-        );
+    match job.halt() {
+        Some(halt) if halted => Err(halt),
+        _ => Ok(outcomes),
     }
-    Ok(run.outcomes)
 }
 
 /// Shards miss indices into lease chunks aligned to batch groups. The
@@ -1399,78 +1326,37 @@ fn batch_aligned_chunks(
     chunks
 }
 
-/// Runs one campaign on the worker fleet: resolves store hits exactly
-/// like the in-process path, shards the misses into chunk leases, then
-/// supervises until every chunk is delivered by some worker.
+/// Runs a campaign's store misses on the worker fleet: shards them into
+/// chunk leases, then supervises until every chunk is delivered by some
+/// worker or the stop rule fires. Returns the sites delivered and whether
+/// shutdown or cancellation halted the job (its published leases are
+/// then retracted so workers stop pulling them).
 ///
-/// The supervisor never touches the store — outcome frames are persisted
+/// The supervisor never writes the store — outcome frames are persisted
 /// (and flushed) by the HTTP submission path *before* a lease is marked
 /// done, so by the time a chunk appears here its records are durable.
 /// Outcomes are assembled into the plan's site order, which makes the
 /// final profile byte-identical to the in-process path regardless of
 /// worker count, chunk interleaving, lease steals or duplicate
 /// deliveries.
-///
-/// `Err` carries the terminal [`RunEnd`] when the job was stopped; the
-/// job's published leases are retracted so workers stop pulling them.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-fn fleet_campaign_through_store(
-    shared: &Shared,
-    id: &str,
+#[allow(clippy::too_many_arguments)]
+fn run_on_fleet(
+    job: StoreJob<'_>,
     spec: &JobSpec,
     sites: &[WeightedSite],
+    outcomes: &mut [Option<Outcome>],
     fingerprint: u64,
     launch: u64,
     threads_per_cta: u32,
-    cancel: &AtomicBool,
     stopper: Option<&Mutex<EarlyStop>>,
-) -> Result<Vec<Option<Outcome>>, RunEnd> {
-    let _campaign = fsp_obs::span_labeled("serve.fleet_campaign", id.to_owned());
-    let keys: Vec<OutcomeKey> = sites
-        .iter()
-        .map(|ws| OutcomeKey::new(fingerprint, launch, spec.model, ws.site))
-        .collect();
-    let mut outcomes: Vec<Option<Outcome>> = {
-        let store = shared.store.lock().expect("engine poisoned");
-        keys.iter().map(|k| store.get(k)).collect()
-    };
-    let hits = outcomes.iter().filter(|o| o.is_some()).count();
-    {
-        let mut jobs = shared.jobs.lock().expect("engine poisoned");
-        if let Some(record) = jobs.get_mut(id) {
-            record.done += hits;
-            record.cache_hits += hits;
-            for (ws, o) in sites.iter().zip(&outcomes) {
-                if let Some(o) = o {
-                    record.partial.record_weighted(*o, ws.weight);
-                    record.outcome_counts[o.code() as usize] += 1;
-                    record.sum_w2 += ws.weight * ws.weight;
-                    shared.metrics.job_outcome_total[o.code() as usize].inc();
-                }
-            }
-            persist(&shared.jobs_dir, record);
-        }
-    }
-    if let Some(stopper) = stopper {
-        let mut tracker = stopper.lock().expect("stop tracker poisoned");
-        for (i, o) in outcomes.iter().enumerate() {
-            if let Some(o) = o {
-                tracker.resolve(i, *o);
-            }
-        }
-        if tracker.should_stop() {
-            // The cached prefix alone satisfies the rule: nothing to lease.
-            return Ok(outcomes);
-        }
-    }
-
+) -> (usize, bool) {
+    let (shared, id) = (job.shared, job.id);
     // Shard the misses, aligned to batch groups; a sampled plan may
     // repeat a site, and every index gets its outcome from its own
     // chunk's map, so repeats are harmless.
     let miss: Vec<usize> = (0..sites.len())
         .filter(|&i| outcomes[i].is_none())
         .collect();
-    let misses = miss.len();
     let chunk_len = shared.leases.config().chunk_sites.max(1);
     let chunks = batch_aligned_chunks(sites, miss, chunk_len, threads_per_cta);
     let specs: Vec<ChunkSpec> = chunks
@@ -1486,17 +1372,37 @@ fn fleet_campaign_through_store(
             sites: indices.iter().map(|&i| sites[i].site).collect(),
         })
         .collect();
-    let started = Instant::now();
     let mut remaining = specs.len();
     shared.leases.publish(specs);
 
+    let mut delivered_sites = 0;
+    // Fills `outcomes` from delivered chunks and credits them to the job.
+    let mut deliver = |delivered: Vec<(usize, BTreeMap<FaultSite, Outcome>)>| {
+        let fresh: Vec<(usize, Outcome)> = delivered
+            .iter()
+            .flat_map(|(chunk_idx, map)| {
+                chunks[*chunk_idx].iter().map(|&i| {
+                    let o = map
+                        .get(&sites[i].site)
+                        .expect("lease completion covers every chunk site");
+                    (i, *o)
+                })
+            })
+            .collect();
+        for &(i, o) in &fresh {
+            outcomes[i] = Some(o);
+        }
+        delivered_sites += fresh.len();
+        job.with_record(true, |record| {
+            job.tally(record, sites, fresh.iter().copied());
+        });
+        shared.leases.prune_delivered(id);
+        fresh
+    };
     while remaining > 0 {
-        if shared.shutdown.load(Ordering::Relaxed) || cancel.load(Ordering::Relaxed) {
+        if job.halt().is_some() {
             shared.leases.retract_job(id);
-            if shared.shutdown.load(Ordering::Relaxed) {
-                return Err(RunEnd::Interrupted);
-            }
-            return Err(RunEnd::Cancelled);
+            return (delivered_sites, true);
         }
         let seen = shared.leases.completions();
         let delivered = shared.leases.take_completed(id);
@@ -1506,60 +1412,35 @@ fn fleet_campaign_through_store(
                 .wait_progress(seen, Duration::from_millis(200));
             continue;
         }
-        let mut fresh: Vec<(usize, Outcome)> = Vec::new();
-        {
-            let mut jobs = shared.jobs.lock().expect("engine poisoned");
-            for (chunk_idx, map) in delivered {
-                for &i in &chunks[chunk_idx] {
-                    let o = *map
-                        .get(&sites[i].site)
-                        .expect("lease completion covers every chunk site");
-                    outcomes[i] = Some(o);
-                    fresh.push((i, o));
-                    if let Some(record) = jobs.get_mut(id) {
-                        record.done += 1;
-                        record.partial.record_weighted(o, sites[i].weight);
-                        record.outcome_counts[o.code() as usize] += 1;
-                        record.sum_w2 += sites[i].weight * sites[i].weight;
-                        shared.metrics.job_outcome_total[o.code() as usize].inc();
-                    }
-                }
-                remaining -= 1;
-            }
-            if let Some(record) = jobs.get_mut(id) {
-                persist(&shared.jobs_dir, record);
-            }
-        }
-        shared.leases.prune_delivered(id);
-        if let Some(stopper) = stopper {
-            let mut tracker = stopper.lock().expect("stop tracker poisoned");
-            for (i, o) in fresh {
-                tracker.resolve(i, o);
-            }
-            if tracker.should_stop() {
-                // CI convergence: stop issuing leases and retract the
-                // job's remaining chunks; in-flight workers see their
-                // submissions answered as stale and move on.
+        remaining -= delivered.len();
+        if feed(stopper, deliver(delivered)) {
+            // CI convergence: retract the job's remaining chunks, so
+            // in-flight workers see their submissions answered as stale.
+            // The submission path holds the store lock from its lease
+            // check to its completion, so under that lock every chunk
+            // whose records reached the store is either taken here or
+            // already taken — delivered sites are exactly the sites this
+            // job added to the store.
+            let late = {
+                let _store = shared.store.lock().expect("engine poisoned");
+                let late = shared.leases.take_completed(id);
                 shared.leases.retract_job(id);
-                break;
-            }
+                late
+            };
+            deliver(late);
+            break;
         }
     }
-    shared.metrics.record_campaign(
-        mode_index(spec.mode.mode_name()),
-        hits as u64,
-        misses as u64,
-        started.elapsed().as_nanos() as u64,
-    );
-    {
-        let mut store = shared.store.lock().expect("engine poisoned");
-        if store.appended_since_checkpoint() >= CHECKPOINT_EVERY {
-            if let Err(e) = store.checkpoint() {
-                eprintln!("fsp-serve: store checkpoint failed: {e}");
-            }
-        }
-    }
-    Ok(outcomes)
+    (delivered_sites, false)
+}
+
+/// Flushes the store's buffered appends, timing the flush.
+fn timed_flush(store: &mut OutcomeStore, metrics: &Metrics) {
+    let flush_start = fsp_obs::now_ns();
+    let _ = store.flush();
+    metrics
+        .store_flush_nanos
+        .record(fsp_obs::now_ns() - flush_start);
 }
 
 fn error_json(message: &str) -> Json {
@@ -1576,68 +1457,44 @@ fn profile_in_site_order(sites: &[WeightedSite], outcomes: &[Outcome]) -> Resili
     profile
 }
 
-struct EngineObserver<'a> {
-    shared: &'a Shared,
-    id: &'a str,
-    keys: &'a [OutcomeKey],
-    sites: &'a [WeightedSite],
-    cancel: &'a AtomicBool,
+/// The campaign observer of every placement. With a store job it appends
+/// each chunk to the store and credits the job record; with a stopper it
+/// feeds the early-stop tracker and cancels once the rule fires.
+struct CampaignFeed<'a> {
+    store: Option<(StoreJob<'a>, &'a [OutcomeKey], &'a [WeightedSite])>,
     stopper: Option<&'a Mutex<EarlyStop>>,
 }
 
-impl CampaignObserver for EngineObserver<'_> {
+impl CampaignObserver for CampaignFeed<'_> {
     fn on_chunk(&self, indices: &[usize], outcomes: &[Outcome]) {
-        {
-            let mut store = self.shared.store.lock().expect("engine poisoned");
-            // Every reported site is a fresh injection (pre-resolved sites
-            // are never re-reported), so each one is appended.
-            for (&i, &o) in indices.iter().zip(outcomes) {
-                if let Err(e) = store.insert(self.keys[i], o) {
-                    eprintln!("fsp-serve: store append failed: {e}");
+        let resolved = || indices.iter().copied().zip(outcomes.iter().copied());
+        if let Some((job, keys, sites)) = self.store {
+            {
+                let mut store = job.shared.store.lock().expect("engine poisoned");
+                // Every reported site is a fresh injection (pre-resolved
+                // sites are never re-reported), so each one is appended.
+                for (i, o) in resolved() {
+                    if let Err(e) = store.insert(keys[i], o) {
+                        eprintln!("fsp-serve: store append failed: {e}");
+                    }
                 }
+                // One flush per chunk: a crash loses at most the torn tail
+                // of the final in-flight record.
+                timed_flush(&mut store, &job.shared.metrics);
             }
-            // One flush per chunk: a crash loses at most the torn tail of
-            // the final in-flight record.
-            let flush_start = fsp_obs::now_ns();
-            let _ = store.flush();
-            self.shared
-                .metrics
-                .store_flush_nanos
-                .record(fsp_obs::now_ns() - flush_start);
+            job.with_record(false, |record| job.tally(record, sites, resolved()));
         }
-        {
-            let mut jobs = self.shared.jobs.lock().expect("engine poisoned");
-            if let Some(record) = jobs.get_mut(self.id) {
-                for (&i, &o) in indices.iter().zip(outcomes) {
-                    record.done += 1;
-                    record.partial.record_weighted(o, self.sites[i].weight);
-                    record.outcome_counts[o.code() as usize] += 1;
-                    record.sum_w2 += self.sites[i].weight * self.sites[i].weight;
-                    self.shared.metrics.job_outcome_total[o.code() as usize].inc();
-                }
-            }
-        }
-        if let Some(stopper) = self.stopper {
-            let mut tracker = stopper.lock().expect("stop tracker poisoned");
-            for (&i, &o) in indices.iter().zip(outcomes) {
-                tracker.resolve(i, o);
-            }
-        }
+        feed(self.stopper, resolved());
     }
 
     fn should_cancel(&self) -> bool {
-        self.shared.shutdown.load(Ordering::Relaxed)
-            || self.cancel.load(Ordering::Relaxed)
-            || self
-                .stopper
-                .is_some_and(|s| s.lock().expect("stop tracker poisoned").should_stop())
+        self.store.is_some_and(|(job, ..)| job.halt().is_some()) || feed(self.stopper, [])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fsp_inject::FaultSite;
 
     fn site(tid: u32, dyn_idx: u32) -> WeightedSite {
         WeightedSite::from(FaultSite {

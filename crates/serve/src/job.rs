@@ -4,7 +4,7 @@ use fsp_inject::FaultModel;
 use fsp_protect::ProtectScope;
 use fsp_stats::ResilienceProfile;
 
-use crate::json::Json;
+use crate::Json;
 
 /// What kind of campaign a job runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +121,14 @@ impl JobSpec {
             seed: 0xF5EED,
             stop: None,
         }
+    }
+
+    /// Rejects field combinations no campaign supports.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.stop.is_some() && matches!(self.mode, CampaignMode::Protect { .. }) {
+            return Err("early stopping is not supported for protect jobs".to_owned());
+        }
+        Ok(())
     }
 
     /// Builds a copy with early stopping enabled.

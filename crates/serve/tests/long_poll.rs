@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fsp_serve::json::Json;
+use fsp_serve::Json;
 use fsp_serve::{Engine, EngineConfig, JobSpec, Server};
 
 /// What every parked request asks for: the server's cap.

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use fsp_serve::json::Json;
+use fsp_serve::Json;
 use fsp_serve::{Engine, EngineConfig, JobSpec};
 
 const SAMPLES: usize = 2000;

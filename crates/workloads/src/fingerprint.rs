@@ -12,11 +12,10 @@ use fsp_isa::KernelProgram;
 
 use crate::Workload;
 
-// The hasher itself lives at the bottom of the crate graph so every layer
-// (including ones this crate depends on) shares one implementation; this
-// re-export keeps `fsp_workloads::Fnv1a` a stable path, and the reference
-// vectors stay asserted in this module's tests.
-pub use fsp_obs::Fnv1a;
+// The hasher lives at the bottom of the crate graph so every layer
+// (including ones this crate depends on) shares one implementation; the
+// reference vectors stay asserted in this module's tests.
+use fsp_obs::Fnv1a;
 
 /// Fingerprints a kernel program by its disassembly text.
 ///

@@ -42,7 +42,7 @@ use fsp_isa::KernelProgram;
 use fsp_sim::{Launch, MemBlock};
 
 pub use data::DataGen;
-pub use fingerprint::{program_fingerprint, Fnv1a};
+pub use fingerprint::program_fingerprint;
 
 /// Benchmark suite of origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
