@@ -111,7 +111,9 @@ OPTIONS:
     --trace-out P  Any command: trace it and write the span timeline to P as
                    Chrome trace-event JSON (load in Perfetto / about:tracing)
     --profile      Any command: print an aggregated span profile (count,
-                   total/self/min/max time per span name) to stderr on exit
+                   total/self/min/max time per span name) to stderr on exit,
+                   then one-site injected runs by outcome and the
+                   instructions hang runs retired
 ";
 
 fn main() -> ExitCode {
@@ -317,6 +319,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 "{}",
                 fsp_obs::render_profile(&fsp_obs::profile(&snapshot.events))
             );
+            eprint!("{}", fsp_inject::render_run_profile());
         }
         if let Some(path) = &trace_out {
             let snapshot = fsp_obs::snapshot();
@@ -939,7 +942,9 @@ fn bench_inject(
     let slow_total: f64 = rows.iter().map(|r| r.slow_secs).sum();
     if json {
         let mut doc = String::from("{\n");
+        let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         doc.push_str(&format!("  \"samples_per_kernel\": {n},\n"));
+        doc.push_str(&format!("  \"nproc\": {nproc},\n"));
         doc.push_str(&format!("  \"workers\": {},\n", opts.workers));
         doc.push_str(&format!("  \"seed\": {},\n", opts.seed));
         doc.push_str(&format!("  \"batch\": {},\n", opts.batch));

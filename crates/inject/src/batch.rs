@@ -30,6 +30,15 @@
 //!   equals golden state, determinism forces the golden outcome → `Masked`.
 //! * **Untriggered** — the site's destination bit was never written (stale
 //!   site): the run is the golden run → `Masked`.
+//! * **CTA boundary** — the replay leaves the lane's CTA with only global
+//!   divergence left, and no later CTA loads a word of the lane's overlay
+//!   in the golden run ([`fsp_sim::GlobalWriteProfile::loaded_after`]):
+//!   the later CTAs replay golden for the lane too, so its final memory is
+//!   `golden + overlay`, less the overlay words a later CTA rewrites. The
+//!   lane is `Sdc` iff an overlay word in the output region has no golden
+//!   writer after its CTA, else `Masked`. A lane whose flip never fired in
+//!   its CTA is the golden run → `Masked` (untriggered). Units are
+//!   CTA-aligned, so the replay itself stops at its CTA's end.
 //! * **End of stream** — the replay finishes with the lane's set still
 //!   open: the lane's final memory is `golden + overlay`, so the output
 //!   comparison reduces to "does the overlay intersect the output region"
@@ -45,7 +54,10 @@
 //! hang or trap — those outcomes always surface through the solo fallback.
 
 use fsp_isa::{Dest, MemRef, MemSpace, Opcode, Operand, PredTest, Register};
-use fsp_sim::{apply_half_neg, eval_op, flags_of, operand_ty, pred_test, ExecHook, RetireEvent};
+use fsp_sim::{
+    apply_half_neg, eval_op, flags_of, operand_ty, pred_test, ExecHook, GlobalWriteProfile,
+    RetireEvent,
+};
 use fsp_stats::Outcome;
 
 use crate::fastpath::{reg_key, space_code};
@@ -88,6 +100,12 @@ pub(crate) enum RetireCause {
     EndMasked,
     /// Stream ended with a divergent output word.
     EndSdc,
+    /// Cut at the end of the lane's CTA; no divergent output word survives
+    /// the later CTAs' golden rewrites.
+    CtaMasked,
+    /// Cut at the end of the lane's CTA with a divergent output word that
+    /// no later CTA rewrites.
+    CtaSdc,
 }
 
 /// Why a lane was handed back to the solo path.
@@ -145,8 +163,10 @@ struct Lane {
 /// An [`ExecHook`] driving up to [`MAX_BATCH`] fault lanes off one golden
 /// replay. See the module docs for the lane model.
 #[derive(Debug, Clone)]
-pub(crate) struct BatchInjectionHook {
+pub(crate) struct BatchInjectionHook<'a> {
     model: FaultModel,
+    /// Golden global traffic, for the CTA-boundary cut.
+    writers: &'a GlobalWriteProfile,
     threads_per_cta: u32,
     /// Output region `[out_lo, out_hi)` in global byte addresses, for the
     /// end-of-stream overlay classification.
@@ -169,12 +189,13 @@ pub(crate) struct BatchInjectionHook {
     current_cta: Option<u32>,
 }
 
-impl BatchInjectionHook {
+impl<'a> BatchInjectionHook<'a> {
     /// Arms one lane per site. `sites` must not exceed [`MAX_BATCH`];
     /// `out_region` is `(byte addr, word count)` of the kernel output.
     pub(crate) fn new(
         sites: &[FaultSite],
         model: FaultModel,
+        writers: &'a GlobalWriteProfile,
         num_threads: u32,
         threads_per_cta: u32,
         out_region: (u32, usize),
@@ -194,6 +215,7 @@ impl BatchInjectionHook {
         }
         BatchInjectionHook {
             model,
+            writers,
             threads_per_cta: threads_per_cta.max(1),
             out_lo: out_region.0,
             out_hi: out_region.0.saturating_add((out_region.1 as u32) * 4),
@@ -445,7 +467,8 @@ impl BatchInjectionHook {
 
     /// CTAs run serially: a retirement from `new_cta` means every earlier
     /// CTA finished — its threads' private divergence is unreachable and
-    /// its shared memory is reset before the next CTA starts.
+    /// its shared memory is reset before the next CTA starts. Lanes whose
+    /// CTA just ended then take the CTA-boundary cut when they can.
     fn cta_turnover(&mut self, new_cta: u32) {
         self.current_cta = Some(new_cta);
         let tid_lo = new_cta * self.threads_per_cta;
@@ -453,6 +476,12 @@ impl BatchInjectionHook {
         while m != 0 {
             let li = m.trailing_zeros() as usize;
             m &= m - 1;
+            let site_cta = self.lanes[li].site.tid / self.threads_per_cta;
+            if self.lanes[li].state == LaneState::Pending && site_cta < new_cta {
+                // The site's thread finished without the flip firing.
+                self.resolve(li, Outcome::Masked, RetireCause::Untriggered);
+                continue;
+            }
             if self.lanes[li].state != LaneState::Tracking {
                 continue;
             }
@@ -479,6 +508,38 @@ impl BatchInjectionHook {
                 self.remove_mem(li, space, owner, addr);
             }
             self.check_converged(li);
+            if site_cta < new_cta {
+                self.cta_cut(li, site_cta);
+            }
+        }
+    }
+
+    /// The CTA-boundary cut for a tracked lane whose CTA `cta` has ended:
+    /// only global divergence is left, and the lane's memory is exactly
+    /// `golden + overlay`. If no later CTA loads an overlay word, the later
+    /// CTAs replay golden for the lane as they do for the shared replay
+    /// (which fits the hang budget, being golden), so every overlay word a
+    /// later CTA stores ends golden and the rest end as they are.
+    fn cta_cut(&mut self, li: usize, cta: u32) {
+        let lane = &self.lanes[li];
+        if lane.state != LaneState::Tracking
+            || lane
+                .mem
+                .iter()
+                .any(|e| e.0 == GLOBAL && self.writers.loaded_after(e.2, cta))
+        {
+            return;
+        }
+        let sdc = lane.mem.iter().any(|e| {
+            e.0 == GLOBAL
+                && e.2 >= self.out_lo
+                && e.2 < self.out_hi
+                && self.writers.get(e.2).is_none_or(|w| w.last_cta <= cta)
+        });
+        if sdc {
+            self.resolve(li, Outcome::Sdc, RetireCause::CtaSdc);
+        } else {
+            self.resolve(li, Outcome::Masked, RetireCause::CtaMasked);
         }
     }
 
@@ -740,7 +801,7 @@ fn has_eval_result(op: Opcode) -> bool {
     )
 }
 
-impl ExecHook for BatchInjectionHook {
+impl ExecHook for BatchInjectionHook<'_> {
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
         if self.active == 0 {
             return;
@@ -888,10 +949,12 @@ mod tests {
     ) -> (Vec<LaneEnd>, MemBlock) {
         let p = assemble("t", src).unwrap();
         let launch = Launch::new(p);
+        let writers = GlobalWriteProfile::default();
         let mut mem = MemBlock::with_words(words);
         let mut hook = BatchInjectionHook::new(
             sites,
             model,
+            &writers,
             launch.num_threads(),
             launch.threads_per_cta(),
             (0, words),

@@ -8,7 +8,10 @@
 //! ([`crate::FastInjectionHook`]) compares every post-flip commit against
 //! the recorded golden value trace and stops the suffix early once the
 //! fault's divergence set provably empties (the run is `Masked` by
-//! construction).
+//! construction). Both injection engines also stop a run at the end of its
+//! faulty CTA once the later CTAs provably replay the golden run (the
+//! CTA-boundary cut, see [`crate::FastInjectionHook`]); the outcome is then
+//! read off the output with the words a later CTA rewrites taken as golden.
 //! The slow path — a full re-execution per site — is kept behind
 //! [`Experiment::set_fast_path`] as the differential-testing oracle; the
 //! two paths are byte-identical in outcomes and SDC severities.
@@ -121,6 +124,34 @@ pub fn classifier_hash() -> u64 {
     h.finish()
 }
 
+/// Renders this process's one-site injected runs (solo runs and demoted
+/// batch lanes) for a `--profile` footer: count and wall time by outcome
+/// class, then the instructions the hang runs retired
+/// (`fsp_inject_hang_instructions_total`). A hang spends its whole
+/// remaining budget, or stops early when the simulator's spin detector
+/// proves the loop; either way the count is exact, and it is not part of
+/// [`IncrementalCampaign::executed_instructions`].
+#[must_use]
+pub fn render_run_profile() -> String {
+    use std::fmt::Write as _;
+    let m = inject_metrics();
+    let mut out = format!("{:<10}  {:>8}  {:>10}\n", "outcome", "runs", "total");
+    for (label, h) in OUTCOME_LABELS.iter().zip(&m.run_nanos) {
+        let _ = writeln!(
+            out,
+            "{label:<10}  {:>8}  {:>9.3}s",
+            h.count(),
+            h.sum() as f64 * 1e-9
+        );
+    }
+    let _ = writeln!(
+        out,
+        "hang runs retired {} instructions",
+        m.hang_instructions.get()
+    );
+    out
+}
+
 /// Prometheus label values for the five outcome classes, indexed by
 /// [`outcome_index`].
 const OUTCOME_LABELS: [&str; 5] = ["masked", "sdc", "crash", "hang", "detected"];
@@ -149,6 +180,11 @@ struct InjectMetrics {
     fast_early_masked: fsp_obs::Counter,
     fast_bailed: fsp_obs::Counter,
     fast_screened: fsp_obs::Counter,
+    /// Fast-path runs stopped at the end of the faulty CTA.
+    fast_cta_cut: fsp_obs::Counter,
+    /// Instructions retired by runs classified `Hang`: their budget burn,
+    /// which `executed_instructions` leaves out (faulted runs count 0).
+    hang_instructions: fsp_obs::Counter,
     /// Classified outcomes by class, across all three engines (solo,
     /// fast-path, batched). Recorded once per finished chunk so live
     /// estimators can watch the registry without touching the hot loop.
@@ -192,6 +228,15 @@ fn inject_metrics() -> &'static InjectMetrics {
                 &[("result", "screened")],
                 "Fast-path runs by how the divergence tracker resolved them.",
             ),
+            fast_cta_cut: r.counter_labeled(
+                "fsp_inject_fastpath_total",
+                &[("result", "cta_cut")],
+                "Fast-path runs by how the divergence tracker resolved them.",
+            ),
+            hang_instructions: r.counter(
+                "fsp_inject_hang_instructions_total",
+                "Instructions retired by injected runs classified as hangs.",
+            ),
             outcome_total: std::array::from_fn(|i| {
                 r.counter_labeled(
                     "fsp_inject_outcome_total",
@@ -205,7 +250,7 @@ fn inject_metrics() -> &'static InjectMetrics {
 
 /// Prometheus label values for the batched-lane retirement causes, indexed
 /// by [`lane_end_index`].
-const LANE_END_LABELS: [&str; 9] = [
+const LANE_END_LABELS: [&str; 11] = [
     "converged",
     "untriggered",
     "end_masked",
@@ -215,6 +260,8 @@ const LANE_END_LABELS: [&str; 9] = [
     "demoted_cap",
     "demoted_fuel",
     "demoted_replay",
+    "cta_masked",
+    "cta_sdc",
 ];
 
 fn lane_end_index(end: LaneEnd) -> usize {
@@ -228,6 +275,8 @@ fn lane_end_index(end: LaneEnd) -> usize {
         LaneEnd::Demoted(DemoteCause::Capacity) => 6,
         LaneEnd::Demoted(DemoteCause::Fuel) => 7,
         LaneEnd::Demoted(DemoteCause::Replay) => 8,
+        LaneEnd::Resolved(_, RetireCause::CtaMasked) => 9,
+        LaneEnd::Resolved(_, RetireCause::CtaSdc) => 10,
     }
 }
 
@@ -237,7 +286,7 @@ struct BatchMetrics {
     /// Lanes riding each batched replay.
     lanes: fsp_obs::Histogram,
     /// Lanes by how they retired (see [`LANE_END_LABELS`]).
-    lane_end: [fsp_obs::Counter; 9],
+    lane_end: [fsp_obs::Counter; 11],
 }
 
 fn batch_metrics() -> &'static BatchMetrics {
@@ -271,6 +320,8 @@ impl InjectMetrics {
         if fast {
             if meta.early {
                 self.fast_early_masked.inc();
+            } else if meta.cut {
+                self.fast_cta_cut.inc();
             } else if bailed {
                 self.fast_bailed.inc();
             } else {
@@ -292,6 +343,8 @@ struct RunMeta {
     ckpt_hit: bool,
     /// Whether the run was cut short by early convergence.
     early: bool,
+    /// Whether the run stopped at the end of its faulty CTA.
+    cut: bool,
 }
 
 /// Aggregated cost accounting of one batched replay plus its solo
@@ -308,6 +361,8 @@ struct BatchRunMeta {
     executed: u64,
     /// Lanes resolved by early convergence.
     early: u64,
+    /// Lanes (and solo fallbacks) resolved by the CTA-boundary cut.
+    cut: u64,
     /// Shared golden replays run (1 per batch; 0 when every lane fell
     /// back solo before the replay could start — never happens today).
     replays: u64,
@@ -609,16 +664,21 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         let mut meta = RunMeta::default();
         let mut fast_used = false;
         let mut bailed = false;
+        let retired;
         let result = if let (true, Some(golden_trace)) = (self.fast_path, &self.golden_trace) {
             fast_used = true;
+            let cp = self.checkpoint_for(site);
             let mut hook = FastInjectionHook::new(
                 site,
                 model,
                 golden_trace,
                 &self.global_writers,
                 self.launch.threads_per_cta(),
+                self.launch
+                    .budget()
+                    .saturating_sub(cp.map_or(0, Checkpoint::retired)),
             );
-            let run = match self.checkpoint_for(site) {
+            let run = match cp {
                 Some(cp) => {
                     meta.ckpt_hit = true;
                     meta.skipped = cp.retired();
@@ -630,10 +690,12 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                 }
             };
             bailed = hook.bailed();
+            retired = hook.retired();
             match run {
                 Ok(stats) => {
                     meta.executed = stats.instructions;
-                    if hook.converged() {
+                    meta.cut = hook.cta_cut();
+                    if !meta.cut && hook.converged() {
                         // The divergence set emptied: the machine state
                         // equals the golden state at this schedule point,
                         // and determinism forces the golden outcome.
@@ -648,7 +710,9 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         } else {
             scratch.clone_from(&self.initial);
             let mut hook = InjectionHook::with_model(site, model);
-            match sim.run(&self.launch, scratch, &mut hook) {
+            let run = sim.run(&self.launch, scratch, &mut hook);
+            retired = hook.retired();
+            match run {
                 Ok(stats) => {
                     meta.executed = stats.instructions;
                     Ok(())
@@ -657,24 +721,55 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             }
         };
         let (outcome, severity) = match result {
-            Err(SimFault::BudgetExceeded) => (Outcome::HANG, None),
+            Err(SimFault::BudgetExceeded) => {
+                inject_metrics().hang_instructions.add(retired);
+                (Outcome::HANG, None)
+            }
             Err(SimFault::DetectedExit { .. }) => (Outcome::Detected, None),
             Err(_) => (Outcome::CRASH, None),
             Ok(()) => {
-                let (addr, len) = self.target.output_region();
-                if scratch.region_eq(addr, &self.golden) {
-                    (Outcome::Masked, None)
-                } else {
-                    let out = scratch.read_words(addr, len);
-                    (
-                        Outcome::Sdc,
-                        Some(crate::relative_l2_error(&self.golden, &out)),
-                    )
-                }
+                let cut_cta = meta
+                    .cut
+                    .then(|| site.tid / self.launch.threads_per_cta().max(1));
+                self.classify_output(scratch, cut_cta)
             }
         };
         inject_metrics().record_run(meta, fast_used, bailed, outcome, start_ns);
         (outcome, severity, meta)
+    }
+
+    /// Classifies a run that finished without faulting by its output.
+    ///
+    /// `cut_cta` is the faulty CTA of a run stopped at the CTA-boundary
+    /// cut: every later CTA replays the golden run, so an output word whose
+    /// golden last writer comes after that CTA ends at its golden value and
+    /// is taken as golden here; the others already hold their final value.
+    fn classify_output(&self, scratch: &MemBlock, cut_cta: Option<u32>) -> (Outcome, Option<f64>) {
+        let (addr, len) = self.target.output_region();
+        if scratch.region_eq(addr, &self.golden) {
+            return (Outcome::Masked, None);
+        }
+        let mut out = scratch.read_words(addr, len);
+        if let Some(cta) = cut_cta {
+            for ((word, &golden), waddr) in
+                out.iter_mut().zip(&self.golden).zip((addr..).step_by(4))
+            {
+                if self
+                    .global_writers
+                    .get(waddr)
+                    .is_some_and(|w| w.last_cta > cta)
+                {
+                    *word = golden;
+                }
+            }
+            if out == self.golden {
+                return (Outcome::Masked, None);
+            }
+        }
+        (
+            Outcome::Sdc,
+            Some(crate::relative_l2_error(&self.golden, &out)),
+        )
     }
 
     /// Runs one batched replay over sites sharing a batch group (same
@@ -695,6 +790,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         let mut hook = BatchInjectionHook::new(
             batch_sites,
             model,
+            &self.global_writers,
             self.launch.num_threads(),
             self.launch.threads_per_cta(),
             self.target.output_region(),
@@ -727,6 +823,10 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                         meta.skipped += cp.retired();
                     }
                     meta.early += u64::from(cause == RetireCause::Converged);
+                    meta.cut += u64::from(matches!(
+                        cause,
+                        RetireCause::CtaMasked | RetireCause::CtaSdc
+                    ));
                     meta.lanes += 1;
                     outs.push(outcome);
                 }
@@ -736,6 +836,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                     meta.skipped += rm.skipped;
                     meta.executed += rm.executed;
                     meta.early += u64::from(rm.early);
+                    meta.cut += u64::from(rm.cut);
                     outs.push(outcome);
                 }
             }
@@ -873,6 +974,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         let skipped_instructions = AtomicU64::new(0);
         let executed_instructions = AtomicU64::new(0);
         let early_converged = AtomicU64::new(0);
+        let cta_cut = AtomicU64::new(0);
         let batch_replays = AtomicU64::new(0);
         let batch_lanes = AtomicU64::new(0);
         {
@@ -898,8 +1000,8 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                             let indices = &order[lo..hi];
                             let _chunk = fsp_obs::span("inject.chunk");
                             let mut outs = Vec::with_capacity(indices.len());
-                            let (mut hits, mut skipped, mut executed, mut early) =
-                                (0u64, 0u64, 0u64, 0u64);
+                            let (mut hits, mut skipped, mut executed, mut early, mut cut) =
+                                (0u64, 0u64, 0u64, 0u64, 0u64);
                             if batched && indices.len() > 1 {
                                 let batch_sites: Vec<crate::FaultSite> =
                                     indices.iter().map(|&i| sites[i].site).collect();
@@ -914,6 +1016,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                                 skipped += bm.skipped;
                                 executed += bm.executed;
                                 early += bm.early;
+                                cut += bm.cut;
                                 batch_replays.fetch_add(bm.replays, Ordering::Relaxed);
                                 batch_lanes.fetch_add(bm.lanes, Ordering::Relaxed);
                             } else {
@@ -928,6 +1031,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                                     skipped += meta.skipped;
                                     executed += meta.executed;
                                     early += u64::from(meta.early);
+                                    cut += u64::from(meta.cut);
                                     outs.push(o);
                                 }
                             }
@@ -936,6 +1040,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                             skipped_instructions.fetch_add(skipped, Ordering::Relaxed);
                             executed_instructions.fetch_add(executed, Ordering::Relaxed);
                             early_converged.fetch_add(early, Ordering::Relaxed);
+                            cta_cut.fetch_add(cut, Ordering::Relaxed);
                             let im = inject_metrics();
                             for &o in &outs {
                                 im.outcome_total[outcome_index(o)].inc();
@@ -961,6 +1066,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             skipped_instructions: skipped_instructions.into_inner(),
             executed_instructions: executed_instructions.into_inner(),
             early_converged: early_converged.into_inner(),
+            cta_cut: cta_cut.into_inner(),
             batch_replays: batch_replays.into_inner(),
             batch_lanes: batch_lanes.into_inner(),
         }
@@ -998,6 +1104,10 @@ pub struct IncrementalCampaign {
     pub executed_instructions: u64,
     /// Injected runs classified `Masked` by early convergence.
     pub early_converged: u64,
+    /// Injected runs (solo runs and batch lanes) stopped at the end of
+    /// their faulty CTA because the later CTAs provably replay the golden
+    /// run.
+    pub cta_cut: u64,
     /// Shared golden replays run by the batched fast path (0 when the
     /// campaign ran solo).
     pub batch_replays: u64,

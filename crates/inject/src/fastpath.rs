@@ -35,6 +35,21 @@
 //! the same schedule point; determinism then forces the golden outcome,
 //! so the campaign stops the run and records `Masked` immediately
 //! ([`ExecHook::converged`]).
+//!
+//! Independently of the divergence set, the hook also stops a run at the
+//! **CTA boundary** after the faulty CTA `c`. Let `D` be the global words
+//! the run stored while in `c` (post-flip) together with `c`'s golden
+//! stores; every other global word holds its golden value when `c` ends.
+//! If no golden CTA after `c` loads a word of `D`
+//! ([`GlobalWriteProfile::loaded_after`]) and the remaining hang budget
+//! covers the later CTAs' golden retirements
+//! ([`GlobalWriteProfile::later_retirements`]), the later CTAs — fresh
+//! threads, fresh shared memory, golden inputs — replay the golden run
+//! exactly: no crash, hang or trap, and every word they store ends at its
+//! golden final value. The run then stops at the first retirement past
+//! `c` ([`FastInjectionHook::cta_cut`]) and the campaign classifies it from
+//! the output as it stands, with the words a later CTA rewrites taken as
+//! golden.
 
 use std::collections::HashSet;
 
@@ -84,8 +99,8 @@ pub(crate) fn space_code(space: MemSpace) -> u8 {
 
 /// An [`ExecHook`] that injects one fault (delegating to [`InjectionHook`])
 /// and tracks the divergence set it causes against the golden value trace,
-/// reporting convergence through [`ExecHook::converged`] once the set
-/// provably empties.
+/// stopping the run through [`ExecHook::converged`] once the set provably
+/// empties or the run reaches the CTA-boundary cut.
 #[derive(Debug, Clone)]
 pub struct FastInjectionHook<'a> {
     inner: InjectionHook,
@@ -130,12 +145,23 @@ pub struct FastInjectionHook<'a> {
     per_thread: Vec<u32>,
     /// Count of divergent shared + global words.
     shared_global: u32,
+    /// Hang budget the run started with (the launch budget less any
+    /// resumed golden prefix).
+    budget: u64,
+    /// CTA of the fault site.
+    site_cta: u32,
+    /// First tid past `site_cta` while the CTA-boundary cut is still
+    /// possible; `u32::MAX` once it is ruled out or decided.
+    cut_from: u32,
+    /// The run stopped at the CTA boundary (see the module docs).
+    cut: bool,
 }
 
 impl<'a> FastInjectionHook<'a> {
     /// Arms a tracking hook for `site` under `model`, comparing against
     /// the fault-free commit log `golden`. `threads_per_cta` scopes
-    /// shared-memory divergence to the owning CTA.
+    /// shared-memory divergence to the owning CTA; `budget` is the hang
+    /// budget the run starts with, for the CTA-boundary cut.
     #[must_use]
     pub fn new(
         site: FaultSite,
@@ -143,12 +169,22 @@ impl<'a> FastInjectionHook<'a> {
         golden: &'a GoldenTrace,
         writers: &'a GlobalWriteProfile,
         threads_per_cta: u32,
+        budget: u64,
     ) -> Self {
+        let threads_per_cta = threads_per_cta.max(1);
+        let site_cta = site.tid / threads_per_cta;
+        // A golden store of the faulty CTA that a later CTA loads puts a
+        // possibly-divergent word in a later CTA's inputs: no cut.
+        let cut_from = if writers.stores_loaded_later(site_cta) {
+            u32::MAX
+        } else {
+            (site_cta + 1).saturating_mul(threads_per_cta)
+        };
         FastInjectionHook {
             inner: InjectionHook::with_model(site, model),
             golden,
             writers,
-            threads_per_cta: threads_per_cta.max(1),
+            threads_per_cta,
             armed: false,
             bailed: false,
             fuel: TRACK_WINDOW,
@@ -161,6 +197,10 @@ impl<'a> FastInjectionHook<'a> {
             sg_addrs: Vec::new(),
             per_thread: vec![0; golden.num_threads() as usize],
             shared_global: 0,
+            budget,
+            site_cta,
+            cut_from,
+            cut: false,
         }
     }
 
@@ -175,6 +215,42 @@ impl<'a> FastInjectionHook<'a> {
     #[must_use]
     pub fn bailed(&self) -> bool {
         self.bailed
+    }
+
+    /// Whether the run stopped at the end of the faulty CTA because every
+    /// later CTA provably replays the golden run (see the module docs).
+    /// The outcome is then read off the output with the words a later CTA
+    /// rewrites taken as golden.
+    #[must_use]
+    pub fn cta_cut(&self) -> bool {
+        self.cut
+    }
+
+    /// Instructions retired so far by the observed run.
+    #[must_use]
+    pub fn retired(&self) -> u64 {
+        self.inner.retired()
+    }
+
+    /// Decides the CTA-boundary cut on a retirement of the faulty run:
+    /// returns `true` when the run stops here. While the run is still in
+    /// the faulty CTA, a global store to a word a later CTA loads rules the
+    /// cut out; the first retirement past it takes the cut if the budget
+    /// left before it covers the later CTAs' golden work.
+    fn cut_here(&mut self, ev: &RetireEvent<'_>, budget_left: u64) -> bool {
+        if ev.tid >= self.cut_from {
+            self.cut_from = u32::MAX;
+            self.cut = budget_left >= self.writers.later_retirements(self.site_cta);
+            return self.cut;
+        }
+        if ev.accesses.iter().any(|a| {
+            a.is_store
+                && a.space == MemSpace::Global
+                && self.writers.loaded_after(a.addr, self.site_cta)
+        }) {
+            self.cut_from = u32::MAX;
+        }
+        false
     }
 
     /// Whether `tid` needs full value comparison: only threads holding
@@ -356,6 +432,11 @@ impl ExecHook for FastInjectionHook<'_> {
     }
 
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
+        let budget_left = self.budget.saturating_sub(self.inner.retired());
+        self.inner.on_retire(ev);
+        if self.armed && self.cut_from != u32::MAX && self.cut_here(&ev, budget_left) {
+            return;
+        }
         if self.bailed || !self.armed {
             return;
         }
@@ -477,7 +558,8 @@ impl ExecHook for FastInjectionHook<'_> {
 
     #[inline]
     fn converged(&self) -> bool {
-        self.armed && !self.bailed && self.reg_div.is_empty() && self.mem_div.is_empty()
+        self.cut
+            || (self.armed && !self.bailed && self.reg_div.is_empty() && self.mem_div.is_empty())
     }
 }
 
@@ -527,6 +609,7 @@ mod tests {
             &trace,
             &writers,
             1,
+            u64::MAX,
         );
         let stats = Simulator::new().run(&launch, &mut g, &mut hook).unwrap();
         assert!(hook.triggered());
@@ -561,6 +644,7 @@ mod tests {
             &trace,
             &writers,
             1,
+            u64::MAX,
         );
         Simulator::new().run(&launch, &mut g, &mut hook).unwrap();
         assert!(hook.triggered());
@@ -598,6 +682,7 @@ mod tests {
             &trace,
             &writers,
             1,
+            u64::MAX,
         );
         Simulator::new().run(&launch, &mut g, &mut hook).unwrap();
         assert!(hook.triggered());
@@ -632,6 +717,7 @@ mod tests {
             &trace,
             &writers,
             1,
+            u64::MAX,
         );
         let stats = Simulator::new().run(&launch, &mut g, &mut hook).unwrap();
         assert!(hook.triggered());
@@ -666,6 +752,7 @@ mod tests {
             &trace,
             &writers,
             1,
+            u64::MAX,
         );
         Simulator::new().run(&launch, &mut g, &mut hook).unwrap();
         assert!(hook.triggered());

@@ -1,6 +1,6 @@
 //! The write-back interceptor that performs the bit flip.
 
-use fsp_sim::{ExecHook, Writeback};
+use fsp_sim::{ExecHook, RetireEvent, Writeback};
 
 use crate::model::FaultModel;
 use crate::site::FaultSite;
@@ -22,6 +22,8 @@ pub struct InjectionHook {
     /// map the flat bit index onto the right write-back slot.
     bits_seen: u32,
     triggered: bool,
+    /// Instructions retired so far by the run this hook observes.
+    retired: u64,
 }
 
 impl InjectionHook {
@@ -39,6 +41,7 @@ impl InjectionHook {
             model,
             bits_seen: 0,
             triggered: false,
+            retired: 0,
         }
     }
 
@@ -48,9 +51,23 @@ impl InjectionHook {
     pub fn triggered(&self) -> bool {
         self.triggered
     }
+
+    /// Instructions retired so far by the observed run. Every retirement
+    /// spends one unit of the hang budget, so a run that ends in
+    /// [`fsp_sim::SimFault::BudgetExceeded`] reports its whole budget here
+    /// (less, when the simulator's spin detector proved the hang early).
+    #[must_use]
+    pub fn retired(&self) -> u64 {
+        self.retired
+    }
 }
 
 impl ExecHook for InjectionHook {
+    #[inline]
+    fn on_retire(&mut self, _ev: RetireEvent<'_>) {
+        self.retired += 1;
+    }
+
     #[inline]
     fn writeback(&mut self, wb: &Writeback) -> Option<u32> {
         if self.triggered || wb.tid != self.site.tid || wb.dyn_idx != self.site.dyn_idx {

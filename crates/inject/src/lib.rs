@@ -44,7 +44,8 @@ pub mod testing;
 
 pub use batch::{batch_version, DEFAULT_BATCH, MAX_BATCH};
 pub use campaign::{
-    classifier_hash, CampaignObserver, CampaignResult, Experiment, IncrementalCampaign, NopObserver,
+    classifier_hash, render_run_profile, CampaignObserver, CampaignResult, Experiment,
+    IncrementalCampaign, NopObserver,
 };
 pub use fastpath::FastInjectionHook;
 pub use hook::InjectionHook;

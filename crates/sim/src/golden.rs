@@ -112,14 +112,32 @@ pub struct GlobalWriteStats {
     pub last_cta: u32,
 }
 
-/// Grid-wide global-store profile: one [`GlobalWriteStats`] per global
-/// word the golden run stores, held as a sorted vector keyed by address.
-/// Lookup is a branch-free binary search — this is probed on the
-/// per-instruction comparison path of the injection fast paths, where the
-/// previous `HashMap` paid a SipHash per divergent store.
+/// Grid-wide profile of the golden run's global-memory traffic.
+///
+/// Per word: one [`GlobalWriteStats`] per global word the golden run
+/// stores, and the last CTA that loads each global word it loads, both
+/// held as sorted vectors keyed by address. Lookup is a branch-free binary
+/// search — this is probed on the per-instruction comparison path of the
+/// injection fast paths, where the previous `HashMap` paid a SipHash per
+/// divergent store.
+///
+/// Per CTA: the golden retirements of every later CTA, and whether one of
+/// the CTA's own global stores is loaded by a later CTA. Together with the
+/// per-word facts these decide the injection engines' CTA-boundary cut:
+/// once an injected run leaves its faulty CTA, the later CTAs provably
+/// replay the golden run when none of them loads a word the faulty CTA
+/// could have changed and the hang budget covers their golden work.
 #[derive(Debug, Clone, Default)]
 pub struct GlobalWriteProfile {
     entries: Vec<(u32, GlobalWriteStats)>,
+    /// `(addr, last loading CTA)` for every global word the golden run
+    /// loads, ascending by address.
+    loads: Vec<(u32, u32)>,
+    /// `later_retirements[c]`: golden retirements of all CTAs after `c`.
+    later_retirements: Vec<u64>,
+    /// `stores_loaded_later[c]`: some golden global store of CTA `c`
+    /// targets a word that a later CTA loads.
+    stores_loaded_later: Vec<bool>,
 }
 
 impl GlobalWriteProfile {
@@ -149,33 +167,84 @@ impl GlobalWriteProfile {
     pub fn iter(&self) -> impl Iterator<Item = (u32, &GlobalWriteStats)> {
         self.entries.iter().map(|(a, s)| (*a, s))
     }
+
+    /// Whether a CTA after `cta` loads global word `addr` in the golden
+    /// run.
+    #[must_use]
+    pub fn loaded_after(&self, addr: u32, cta: u32) -> bool {
+        self.loads
+            .binary_search_by_key(&addr, |&(a, _)| a)
+            .is_ok_and(|i| self.loads[i].1 > cta)
+    }
+
+    /// Golden retirements of all CTAs after `cta` (0 past the last CTA).
+    #[must_use]
+    pub fn later_retirements(&self, cta: u32) -> u64 {
+        self.later_retirements
+            .get(cta as usize)
+            .copied()
+            .unwrap_or(0)
+    }
+
+    /// Whether a golden global store of `cta` targets a word that a later
+    /// CTA loads (`true` past the last CTA, where no cut applies).
+    #[must_use]
+    pub fn stores_loaded_later(&self, cta: u32) -> bool {
+        self.stores_loaded_later
+            .get(cta as usize)
+            .copied()
+            .unwrap_or(true)
+    }
 }
 
 /// Per-thread fault-free commit logs for a whole launch.
 #[derive(Debug, Clone, Default)]
 pub struct GoldenTrace {
     threads: Vec<GoldenThread>,
+    /// `(addr, last loading tid)` for every global word loaded, ascending
+    /// by address.
+    global_loads: Vec<(u32, u32)>,
 }
 
 impl GoldenTrace {
-    /// Profiles every global word the golden run stores: how many times
-    /// grid-wide and the last CTA to do so. Words absent from the profile
+    /// Profiles the golden run's global traffic (see
+    /// [`GlobalWriteProfile`]): every stored word's store count and last
+    /// writer CTA, every loaded word's last loader CTA, and the per-CTA
+    /// facts of the CTA-boundary cut. Words absent from the store profile
     /// are never stored by the fault-free run.
     #[must_use]
     pub fn global_write_profile(&self, threads_per_cta: u32) -> GlobalWriteProfile {
         let tpc = threads_per_cta.max(1);
+        let num_ctas = self.threads.len().div_ceil(tpc as usize);
+        let mut profile = GlobalWriteProfile {
+            entries: Vec::new(),
+            loads: self
+                .global_loads
+                .iter()
+                .map(|&(addr, tid)| (addr, tid / tpc))
+                .collect(),
+            later_retirements: vec![0; num_ctas],
+            stores_loaded_later: vec![false; num_ctas],
+        };
         let mut map = std::collections::BTreeMap::new();
+        let mut retirements = vec![0u64; num_ctas];
         for (tid, t) in self.threads.iter().enumerate() {
             let cta = tid as u32 / tpc;
+            retirements[cta as usize] += u64::from(t.retirements());
             for s in t.stores.iter().filter(|s| s.space == MemSpace::Global) {
                 let e: &mut GlobalWriteStats = map.entry(s.addr).or_default();
                 e.count += 1;
                 e.last_cta = e.last_cta.max(cta);
+                if profile.loaded_after(s.addr, cta) {
+                    profile.stores_loaded_later[cta as usize] = true;
+                }
             }
         }
-        GlobalWriteProfile {
-            entries: map.into_iter().collect(),
+        for c in (0..num_ctas.saturating_sub(1)).rev() {
+            profile.later_retirements[c] = profile.later_retirements[c + 1] + retirements[c + 1];
         }
+        profile.entries = map.into_iter().collect();
+        profile
     }
 
     /// The commit log of flat thread `tid`, if it is in range.
@@ -204,6 +273,10 @@ impl GoldenTrace {
 #[derive(Debug, Clone)]
 pub struct GoldenRecorder {
     threads: Vec<GoldenThread>,
+    /// One past the largest tid loading each global word, indexed by word
+    /// (0: never loaded). CTAs run in tid order, so the largest loading
+    /// tid belongs to the last loading CTA.
+    last_loader: Vec<u32>,
 }
 
 impl GoldenRecorder {
@@ -212,6 +285,7 @@ impl GoldenRecorder {
     pub fn new(num_threads: u32) -> Self {
         GoldenRecorder {
             threads: vec![GoldenThread::default(); num_threads as usize],
+            last_loader: Vec::new(),
         }
     }
 
@@ -220,6 +294,11 @@ impl GoldenRecorder {
     pub fn finish(self) -> GoldenTrace {
         GoldenTrace {
             threads: self.threads,
+            global_loads: (0u32..)
+                .zip(self.last_loader)
+                .filter(|&(_, end)| end > 0)
+                .map(|(word, end)| (word * 4, end - 1))
+                .collect(),
         }
     }
 }
@@ -237,6 +316,16 @@ impl ExecHook for GoldenRecorder {
     }
 
     fn on_retire(&mut self, ev: RetireEvent<'_>) {
+        for a in ev.accesses {
+            if !a.is_store && a.space == MemSpace::Global {
+                let word = (a.addr / 4) as usize;
+                if word >= self.last_loader.len() {
+                    self.last_loader.resize(word + 1, 0);
+                }
+                let end = &mut self.last_loader[word];
+                *end = (*end).max(ev.tid + 1);
+            }
+        }
         let t = &mut self.threads[ev.tid as usize];
         debug_assert_eq!(t.pcs.len() as u32, ev.dyn_idx, "retirement gap");
         for a in ev.accesses.iter().filter(|a| a.is_store) {
@@ -301,6 +390,45 @@ mod tests {
                 value: 10
             })
         );
+    }
+
+    #[test]
+    fn profile_records_later_loads_and_cta_suffixes() {
+        // Two one-thread CTAs: CTA 0 stores 0x10, CTA 1 loads it and
+        // stores 0x14.
+        let program = assemble(
+            "golden_test",
+            r#"
+            cvt.u32.u16 $r1, %ctaid.x
+            set.eq.u32.u32 $p0/$o127, $r1, $r124
+            @$p0.ne bra first
+            ld.global.u32 $r2, [0x10]
+            st.global.u32 [0x14], $r2
+            exit
+            first:
+            st.global.u32 [0x10], $r1
+            exit
+            "#,
+        )
+        .expect("assembles");
+        let launch = Launch::new(program).grid(2, 1).block(1, 1, 1);
+        let mut memory = MemBlock::with_words(64);
+        let mut rec = GoldenRecorder::new(launch.num_threads());
+        Simulator::new()
+            .run(&launch, &mut memory, &mut rec)
+            .expect("golden run");
+        let trace = rec.finish();
+        let p = trace.global_write_profile(1);
+        assert!(p.loaded_after(0x10, 0));
+        assert!(!p.loaded_after(0x10, 1));
+        assert!(!p.loaded_after(0x14, 0), "stored, never loaded");
+        assert!(p.stores_loaded_later(0));
+        assert!(!p.stores_loaded_later(1));
+        assert!(p.stores_loaded_later(2), "no cut past the last CTA");
+        let cta1 = u64::from(trace.thread(1).expect("thread 1").retirements());
+        assert_eq!(p.later_retirements(0), cta1);
+        assert_eq!(p.later_retirements(1), 0);
+        assert_eq!(p.get(0x14).map(|w| w.last_cta), Some(1));
     }
 
     #[test]
