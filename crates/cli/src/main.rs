@@ -113,7 +113,8 @@ OPTIONS:
     --profile      Any command: print an aggregated span profile (count,
                    total/self/min/max time per span name) to stderr on exit,
                    then one-site injected runs by outcome and the
-                   instructions hang runs retired
+                   instructions hang runs retired. Both flags report the
+                   events the bounded trace ring dropped.
 ";
 
 fn main() -> ExitCode {
@@ -314,18 +315,19 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     if result.is_ok() {
         if profile_spans {
-            let snapshot = fsp_obs::snapshot();
-            eprint!(
-                "{}",
-                fsp_obs::render_profile(&fsp_obs::profile(&snapshot.events))
-            );
+            eprint!("{}", fsp_obs::render_profile(&fsp_obs::snapshot()));
             eprint!("{}", fsp_inject::render_run_profile());
         }
         if let Some(path) = &trace_out {
             let snapshot = fsp_obs::snapshot();
             std::fs::write(path, fsp_obs::chrome_trace_json(&snapshot, "fsp"))
                 .map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("wrote {path} ({} spans)", snapshot.events.len());
+            eprintln!(
+                "wrote {path} ({} spans, {} dropped, {} misnested)",
+                snapshot.events.len(),
+                snapshot.dropped,
+                snapshot.misnested
+            );
         }
     }
     result

@@ -12,18 +12,23 @@
 //! faulty CTA once the later CTAs provably replay the golden run (the
 //! CTA-boundary cut, see [`crate::FastInjectionHook`]); the outcome is then
 //! read off the output with the words a later CTA rewrites taken as golden.
+//! Every campaign runs one schedule: unresolved sites sorted by batch group
+//! (CTA, then resume point) and cut into same-CTA units of at most
+//! [`Experiment::batch`] sites. On the fast path a unit of several sites
+//! rides one batched replay (the lane engine in `batch.rs`); every other
+//! unit runs its sites solo.
 //! The slow path — a full re-execution per site — is kept behind
 //! [`Experiment::set_fast_path`] as the differential-testing oracle; the
 //! two paths are byte-identical in outcomes and SDC severities.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use fsp_isa::PredTest;
 use fsp_sim::{
     Checkpoint, CheckpointConfig, ExecHook, FullTraces, GlobalWriteProfile, GoldenRecorder,
-    GoldenTrace, KernelTrace, Launch, MemBlock, ResumeScratch, RetireEvent, SimFault, Simulator,
-    Tracer, Writeback,
+    GoldenTrace, KernelTrace, Launch, MemBlock, ResumeScratch, RetireEvent, RunStats, SimFault,
+    Simulator, Tracer, Writeback,
 };
 use fsp_stats::{Outcome, OutcomeKind, ResilienceProfile};
 
@@ -34,11 +39,6 @@ use crate::fastpath::FastInjectionHook;
 use crate::hook::InjectionHook;
 use crate::site::{SiteSpace, WeightedSite};
 use crate::target::InjectionTarget;
-
-/// Sites per work unit handed to a campaign worker. Small enough to load
-/// balance across heterogeneous site costs, large enough that claiming a
-/// chunk (the only synchronized step) is negligible next to running it.
-const CHUNK: usize = 16;
 
 /// Launches with at most this many threads get full per-thread traces,
 /// golden checkpoints and the golden value trace captured during
@@ -61,7 +61,7 @@ pub trait CampaignObserver: Sync {
     /// sites: `outcomes[k]` is the outcome of `sites[indices[k]]`. Only
     /// injected sites are reported — pre-resolved outcomes were supplied by
     /// the caller, who already has them. Chunks follow the campaign's
-    /// checkpoint-locality schedule, so `indices` is not contiguous.
+    /// batch-group schedule, so `indices` is not contiguous.
     fn on_chunk(&self, indices: &[usize], outcomes: &[Outcome]) {
         let _ = (indices, outcomes);
     }
@@ -312,15 +312,15 @@ fn batch_metrics() -> &'static BatchMetrics {
 impl InjectMetrics {
     fn record_run(&self, meta: RunMeta, fast: bool, bailed: bool, outcome: Outcome, start_ns: u64) {
         self.run_nanos[outcome_index(outcome)].record(fsp_obs::now_ns().saturating_sub(start_ns));
-        if meta.ckpt_hit {
+        if meta.hits > 0 {
             self.runs_resumed.inc();
         } else {
             self.runs_cold.inc();
         }
         if fast {
-            if meta.early {
+            if meta.early > 0 {
                 self.fast_early_masked.inc();
-            } else if meta.cut {
+            } else if meta.cut > 0 {
                 self.fast_cta_cut.inc();
             } else if bailed {
                 self.fast_bailed.inc();
@@ -331,44 +331,40 @@ impl InjectMetrics {
     }
 }
 
-/// Per-injection cost accounting returned alongside the outcome.
+/// Cost accounting of injected runs: one solo run, one batched replay with
+/// its solo fallbacks, or a whole campaign (summed with `+=`). Each lane
+/// counts as one injected run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct RunMeta {
+    /// Runs that resumed from a golden checkpoint.
+    hits: u64,
     /// Golden-prefix instructions skipped by resuming from a checkpoint.
     skipped: u64,
-    /// Instructions actually executed (suffix only when resumed; 0 for
-    /// faulted runs, whose partial work is discarded).
+    /// Instructions actually executed: suffixes only when resumed, a
+    /// batch's shared replay once, 0 for faulted runs (whose partial work
+    /// is discarded).
     executed: u64,
-    /// Whether the run resumed from a checkpoint.
-    ckpt_hit: bool,
-    /// Whether the run was cut short by early convergence.
-    early: bool,
-    /// Whether the run stopped at the end of its faulty CTA.
-    cut: bool,
+    /// Runs classified `Masked` by early convergence.
+    early: u64,
+    /// Runs stopped at the end of their faulty CTA.
+    cut: u64,
+    /// Shared golden replays run.
+    replays: u64,
+    /// Lanes resolved *on* a shared replay, i.e. without a solo fallback.
+    /// `lanes / replays` is the effective batch occupancy.
+    lanes: u64,
 }
 
-/// Aggregated cost accounting of one batched replay plus its solo
-/// fallbacks, mirroring the per-run [`RunMeta`] counters lane-by-lane.
-#[derive(Debug, Clone, Copy, Default)]
-struct BatchRunMeta {
-    /// Lanes that resumed from a golden checkpoint (counted per lane: each
-    /// lane stands for one injected run that skipped its golden prefix).
-    hits: u64,
-    /// Golden-prefix instructions skipped, summed over lanes.
-    skipped: u64,
-    /// Instructions actually executed: the shared replay once, plus any
-    /// solo fallback runs.
-    executed: u64,
-    /// Lanes resolved by early convergence.
-    early: u64,
-    /// Lanes (and solo fallbacks) resolved by the CTA-boundary cut.
-    cut: u64,
-    /// Shared golden replays run (1 per batch; 0 when every lane fell
-    /// back solo before the replay could start — never happens today).
-    replays: u64,
-    /// Lanes resolved *on* the shared replay, i.e. without a solo
-    /// fallback. `lanes / replays` is the effective batch occupancy.
-    lanes: u64,
+impl std::ops::AddAssign for RunMeta {
+    fn add_assign(&mut self, rhs: Self) {
+        self.hits += rhs.hits;
+        self.skipped += rhs.skipped;
+        self.executed += rhs.executed;
+        self.early += rhs.early;
+        self.cut += rhs.cut;
+        self.replays += rhs.replays;
+        self.lanes += rhs.lanes;
+    }
 }
 
 /// A prepared injection experiment: golden output, initial memory image,
@@ -660,82 +656,76 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         resume: &mut ResumeScratch,
     ) -> (Outcome, Option<f64>, RunMeta) {
         let start_ns = fsp_obs::now_ns();
-        let sim = Simulator::new();
         let mut meta = RunMeta::default();
         let mut fast_used = false;
         let mut bailed = false;
-        let retired;
-        let result = if let (true, Some(golden_trace)) = (self.fast_path, &self.golden_trace) {
-            fast_used = true;
-            let cp = self.checkpoint_for(site);
-            let mut hook = FastInjectionHook::new(
-                site,
-                model,
-                golden_trace,
-                &self.global_writers,
-                self.launch.threads_per_cta(),
-                self.launch
-                    .budget()
-                    .saturating_sub(cp.map_or(0, Checkpoint::retired)),
-            );
-            let run = match cp {
-                Some(cp) => {
-                    meta.ckpt_hit = true;
-                    meta.skipped = cp.retired();
-                    sim.run_from_with(cp, &self.launch, scratch, &mut hook, resume)
+        let (run, retired) =
+            if let (true, Some(golden_trace)) = (self.fast_path, &self.golden_trace) {
+                fast_used = true;
+                let cp = self.checkpoint_for(site);
+                meta.hits = u64::from(cp.is_some());
+                meta.skipped = cp.map_or(0, Checkpoint::retired);
+                let mut hook = FastInjectionHook::new(
+                    site,
+                    model,
+                    golden_trace,
+                    &self.global_writers,
+                    self.launch.threads_per_cta(),
+                    self.launch.budget().saturating_sub(meta.skipped),
+                );
+                let run = self.resume_or_cold(cp, scratch, &mut hook, resume);
+                bailed = hook.bailed();
+                if run.is_ok() {
+                    meta.cut = u64::from(hook.cta_cut());
+                    // The divergence set emptied: the machine state equals the
+                    // golden state at this schedule point, and determinism
+                    // forces the golden outcome.
+                    meta.early = u64::from(meta.cut == 0 && hook.converged());
                 }
-                None => {
-                    scratch.clone_from(&self.initial);
-                    sim.run(&self.launch, scratch, &mut hook)
-                }
+                (run, hook.retired())
+            } else {
+                let mut hook = InjectionHook::with_model(site, model);
+                let run = self.resume_or_cold(None, scratch, &mut hook, resume);
+                (run, hook.retired())
             };
-            bailed = hook.bailed();
-            retired = hook.retired();
-            match run {
-                Ok(stats) => {
-                    meta.executed = stats.instructions;
-                    meta.cut = hook.cta_cut();
-                    if !meta.cut && hook.converged() {
-                        // The divergence set emptied: the machine state
-                        // equals the golden state at this schedule point,
-                        // and determinism forces the golden outcome.
-                        meta.early = true;
-                        inject_metrics().record_run(meta, true, false, Outcome::Masked, start_ns);
-                        return (Outcome::Masked, None, meta);
-                    }
-                    Ok(())
+        let (outcome, severity) = match run {
+            Ok(stats) => {
+                meta.executed = stats.instructions;
+                if meta.early > 0 {
+                    (Outcome::Masked, None)
+                } else {
+                    let cut_cta =
+                        (meta.cut > 0).then(|| site.tid / self.launch.threads_per_cta().max(1));
+                    self.classify_output(scratch, cut_cta)
                 }
-                Err(e) => Err(e),
             }
-        } else {
-            scratch.clone_from(&self.initial);
-            let mut hook = InjectionHook::with_model(site, model);
-            let run = sim.run(&self.launch, scratch, &mut hook);
-            retired = hook.retired();
-            match run {
-                Ok(stats) => {
-                    meta.executed = stats.instructions;
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            }
-        };
-        let (outcome, severity) = match result {
             Err(SimFault::BudgetExceeded) => {
                 inject_metrics().hang_instructions.add(retired);
                 (Outcome::HANG, None)
             }
             Err(SimFault::DetectedExit { .. }) => (Outcome::Detected, None),
             Err(_) => (Outcome::CRASH, None),
-            Ok(()) => {
-                let cut_cta = meta
-                    .cut
-                    .then(|| site.tid / self.launch.threads_per_cta().max(1));
-                self.classify_output(scratch, cut_cta)
-            }
         };
         inject_metrics().record_run(meta, fast_used, bailed, outcome, start_ns);
         (outcome, severity, meta)
+    }
+
+    /// Runs `hook` resumed from `cp`, or from the initial memory image
+    /// without one.
+    fn resume_or_cold<H: ExecHook>(
+        &self,
+        cp: Option<&Checkpoint>,
+        scratch: &mut MemBlock,
+        hook: &mut H,
+        resume: &mut ResumeScratch,
+    ) -> Result<RunStats, SimFault> {
+        match cp {
+            Some(cp) => Simulator::new().run_from_with(cp, &self.launch, scratch, hook, resume),
+            None => {
+                scratch.clone_from(&self.initial);
+                Simulator::new().run(&self.launch, scratch, hook)
+            }
+        }
     }
 
     /// Classifies a run that finished without faulting by its output.
@@ -784,9 +774,8 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
         scratch: &mut MemBlock,
         resume: &mut ResumeScratch,
         outs: &mut Vec<Outcome>,
-    ) -> BatchRunMeta {
+    ) -> RunMeta {
         let _span = fsp_obs::span_labeled("inject.batch", format!("{} lanes", batch_sites.len()));
-        let sim = Simulator::new();
         let mut hook = BatchInjectionHook::new(
             batch_sites,
             model,
@@ -795,16 +784,9 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             self.launch.threads_per_cta(),
             self.target.output_region(),
         );
-        let mut meta = BatchRunMeta::default();
+        let mut meta = RunMeta::default();
         let cp = self.checkpoint_for(batch_sites[0]);
-        let run = match cp {
-            Some(cp) => sim.run_from_with(cp, &self.launch, scratch, &mut hook, resume),
-            None => {
-                scratch.clone_from(&self.initial);
-                sim.run(&self.launch, scratch, &mut hook)
-            }
-        };
-        match run {
+        match self.resume_or_cold(cp, scratch, &mut hook, resume) {
             Ok(stats) => meta.executed += stats.instructions,
             // The shared replay is fault-free by construction; a fault here
             // means no lane outcome can be attributed — solo-rerun them all.
@@ -832,11 +814,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
                 }
                 LaneEnd::Demoted(_) => {
                     let (outcome, _, rm) = self.run_one_in(site, model, scratch, resume);
-                    meta.hits += u64::from(rm.ckpt_hit);
-                    meta.skipped += rm.skipped;
-                    meta.executed += rm.executed;
-                    meta.early += u64::from(rm.early);
-                    meta.cut += u64::from(rm.cut);
+                    meta += rm;
                     outs.push(outcome);
                 }
             }
@@ -876,7 +854,7 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
     /// `resolved` must be empty (nothing pre-resolved) or exactly
     /// `sites.len()` long. `workers == 0` is clamped to 1.
     ///
-    /// Unresolved sites are scheduled in checkpoint order (all sites
+    /// Unresolved sites are scheduled in batch-group order (all sites
     /// resuming from the same golden snapshot run back to back), which
     /// keeps each worker's copy-on-write scratch memory warm; outcomes are
     /// still indexed by site position, so the result is deterministic in
@@ -911,164 +889,115 @@ impl<'a, T: InjectionTarget> Experiment<'a, T> {
             resolved.to_vec()
         };
         let from_cache = outcomes.iter().filter(|o| o.is_some()).count();
-        // Checkpoint-locality schedule: unresolved sites ordered by resume
-        // position (ties broken by site index for determinism of the
-        // *schedule*; outcomes are order-independent).
-        let batched = self.fast_path && self.golden_trace.is_some() && self.batch > 1;
-        let order: Vec<usize> = {
-            let mut v: Vec<usize> = (0..sites.len())
-                .filter(|&i| outcomes[i].is_none())
-                .collect();
-            if batched {
-                // Batch-group order: sites sharing a CTA land adjacent,
-                // sorted by resume point, so unit formation below can
-                // co-schedule them with a small checkpoint spread.
-                v.sort_by_key(|&i| {
-                    let (cta, ckpt) = self.batch_group_key(sites[i].site);
-                    (cta, ckpt, i)
-                });
-            } else if self.fast_path {
-                v.sort_by_key(|&i| {
-                    (
-                        self.checkpoint_for(sites[i].site)
-                            .map_or(0, Checkpoint::retired),
-                        i,
-                    )
-                });
-            }
-            v
-        };
+        // Batch-group schedule: unresolved sites ordered by (CTA, resume
+        // point), ties broken by site index for determinism of the
+        // *schedule* (outcomes are order-independent). Sites resuming from
+        // one golden snapshot run back to back, which keeps each worker's
+        // copy-on-write scratch memory warm.
+        let mut order: Vec<usize> = (0..sites.len())
+            .filter(|&i| outcomes[i].is_none())
+            .collect();
+        order.sort_by_key(|&i| {
+            let (cta, ckpt) = self.batch_group_key(sites[i].site);
+            (cta, ckpt, i)
+        });
         // Work units claimed by workers: runs of the schedule sharing a
-        // CTA (capped at the lane budget) when batching, plain fixed-size
-        // chunks otherwise. A batch resumes from its first lane's
-        // checkpoint — the earliest in the unit, since the schedule sorts
-        // by resume point within the CTA. Single-site units always take
-        // the solo path, so a lane budget of 1 is *exactly* the solo
-        // campaign.
-        let units: Vec<(usize, usize)> = if batched {
-            let mut u = Vec::new();
-            let mut start = 0;
-            while start < order.len() {
-                let (cta, _) = self.batch_group_key(sites[order[start]].site);
-                let mut end = start + 1;
-                while end < order.len()
-                    && end - start < self.batch
-                    && self.batch_group_key(sites[order[end]].site).0 == cta
-                {
-                    end += 1;
-                }
-                u.push((start, end));
-                start = end;
+        // CTA, capped at the lane budget. A batch resumes from its first
+        // lane's checkpoint — the earliest in the unit, since the schedule
+        // sorts by resume point within the CTA. Single-site units always
+        // take the solo path, so a lane budget of 1 is *exactly* the solo
+        // campaign, and so is every unit without the fast path.
+        let mut units: Vec<(usize, usize)> = Vec::new();
+        let mut start = 0;
+        while start < order.len() {
+            let (cta, _) = self.batch_group_key(sites[order[start]].site);
+            let mut end = start + 1;
+            while end < order.len()
+                && end - start < self.batch
+                && self.batch_group_key(sites[order[end]].site).0 == cta
+            {
+                end += 1;
             }
-            u
-        } else {
-            (0..order.len())
-                .step_by(CHUNK)
-                .map(|s| (s, (s + CHUNK).min(order.len())))
-                .collect()
-        };
-        let injected = AtomicUsize::new(0);
+            units.push((start, end));
+            start = end;
+        }
+        let batched = self.fast_path && self.golden_trace.is_some();
         let cancelled = AtomicBool::new(false);
         let cursor = AtomicUsize::new(0);
-        let checkpoint_hits = AtomicU64::new(0);
-        let skipped_instructions = AtomicU64::new(0);
-        let executed_instructions = AtomicU64::new(0);
-        let early_converged = AtomicU64::new(0);
-        let cta_cut = AtomicU64::new(0);
-        let batch_replays = AtomicU64::new(0);
-        let batch_lanes = AtomicU64::new(0);
-        {
-            // Workers claim chunks of the schedule via the cursor and run
-            // them against a private scratch memory; the mutex guards only
-            // the brief scatter write of finished outcomes, so the
-            // injection hot path runs lock-free.
-            let results = Mutex::new(&mut outcomes);
-            std::thread::scope(|scope| {
-                for _ in 0..workers.max(1).min(order.len().max(1)) {
-                    scope.spawn(|| {
-                        let mut scratch = self.initial.clone();
-                        let mut resume = ResumeScratch::default();
-                        loop {
-                            if cancelled.load(Ordering::Relaxed) || observer.should_cancel() {
-                                cancelled.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            let unit = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(&(lo, hi)) = units.get(unit) else {
-                                break;
-                            };
-                            let indices = &order[lo..hi];
-                            let _chunk = fsp_obs::span("inject.chunk");
-                            let mut outs = Vec::with_capacity(indices.len());
-                            let (mut hits, mut skipped, mut executed, mut early, mut cut) =
-                                (0u64, 0u64, 0u64, 0u64, 0u64);
-                            if batched && indices.len() > 1 {
-                                let batch_sites: Vec<crate::FaultSite> =
-                                    indices.iter().map(|&i| sites[i].site).collect();
-                                let bm = self.run_batch_in(
-                                    &batch_sites,
+        // Workers claim units of the schedule via the cursor and run them
+        // against a private scratch memory; the mutex guards only the brief
+        // scatter write of finished outcomes and the cost total, so the
+        // injection hot path runs lock-free.
+        let results = Mutex::new((&mut outcomes, RunMeta::default()));
+        std::thread::scope(|scope| {
+            for _ in 0..workers.max(1).min(order.len().max(1)) {
+                scope.spawn(|| {
+                    let mut scratch = self.initial.clone();
+                    let mut resume = ResumeScratch::default();
+                    loop {
+                        if cancelled.load(Ordering::Relaxed) || observer.should_cancel() {
+                            cancelled.store(true, Ordering::Relaxed);
+                            break;
+                        }
+                        let unit = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(lo, hi)) = units.get(unit) else {
+                            break;
+                        };
+                        let indices = &order[lo..hi];
+                        let _chunk = fsp_obs::span("inject.chunk");
+                        let mut outs = Vec::with_capacity(indices.len());
+                        let mut cost = RunMeta::default();
+                        if batched && indices.len() > 1 {
+                            let batch_sites: Vec<crate::FaultSite> =
+                                indices.iter().map(|&i| sites[i].site).collect();
+                            cost = self.run_batch_in(
+                                &batch_sites,
+                                model,
+                                &mut scratch,
+                                &mut resume,
+                                &mut outs,
+                            );
+                        } else {
+                            for &i in indices {
+                                let (o, _, meta) = self.run_one_in(
+                                    sites[i].site,
                                     model,
                                     &mut scratch,
                                     &mut resume,
-                                    &mut outs,
                                 );
-                                hits += bm.hits;
-                                skipped += bm.skipped;
-                                executed += bm.executed;
-                                early += bm.early;
-                                cut += bm.cut;
-                                batch_replays.fetch_add(bm.replays, Ordering::Relaxed);
-                                batch_lanes.fetch_add(bm.lanes, Ordering::Relaxed);
-                            } else {
-                                for &i in indices {
-                                    let (o, _, meta) = self.run_one_in(
-                                        sites[i].site,
-                                        model,
-                                        &mut scratch,
-                                        &mut resume,
-                                    );
-                                    hits += u64::from(meta.ckpt_hit);
-                                    skipped += meta.skipped;
-                                    executed += meta.executed;
-                                    early += u64::from(meta.early);
-                                    cut += u64::from(meta.cut);
-                                    outs.push(o);
-                                }
+                                cost += meta;
+                                outs.push(o);
                             }
-                            injected.fetch_add(indices.len(), Ordering::Relaxed);
-                            checkpoint_hits.fetch_add(hits, Ordering::Relaxed);
-                            skipped_instructions.fetch_add(skipped, Ordering::Relaxed);
-                            executed_instructions.fetch_add(executed, Ordering::Relaxed);
-                            early_converged.fetch_add(early, Ordering::Relaxed);
-                            cta_cut.fetch_add(cut, Ordering::Relaxed);
-                            let im = inject_metrics();
-                            for &o in &outs {
-                                im.outcome_total[outcome_index(o)].inc();
-                            }
-                            {
-                                let mut slots = results.lock().expect("campaign worker panicked");
-                                for (&i, &o) in indices.iter().zip(&outs) {
-                                    slots[i] = Some(o);
-                                }
-                            }
-                            observer.on_chunk(indices, &outs);
                         }
-                    });
-                }
-            });
-        }
+                        let im = inject_metrics();
+                        for &o in &outs {
+                            im.outcome_total[outcome_index(o)].inc();
+                        }
+                        {
+                            let mut results = results.lock().expect("campaign worker panicked");
+                            for (&i, &o) in indices.iter().zip(&outs) {
+                                results.0[i] = Some(o);
+                            }
+                            results.1 += cost;
+                        }
+                        observer.on_chunk(indices, &outs);
+                    }
+                });
+            }
+        });
+        let total = results.into_inner().expect("campaign worker panicked").1;
         IncrementalCampaign {
+            injected: outcomes.iter().filter(|o| o.is_some()).count() - from_cache,
             outcomes,
-            injected: injected.into_inner(),
             from_cache,
             cancelled: cancelled.into_inner(),
-            checkpoint_hits: checkpoint_hits.into_inner(),
-            skipped_instructions: skipped_instructions.into_inner(),
-            executed_instructions: executed_instructions.into_inner(),
-            early_converged: early_converged.into_inner(),
-            cta_cut: cta_cut.into_inner(),
-            batch_replays: batch_replays.into_inner(),
-            batch_lanes: batch_lanes.into_inner(),
+            checkpoint_hits: total.hits,
+            skipped_instructions: total.skipped,
+            executed_instructions: total.executed,
+            early_converged: total.early,
+            cta_cut: total.cut,
+            batch_replays: total.replays,
+            batch_lanes: total.lanes,
         }
     }
 }

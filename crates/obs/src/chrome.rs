@@ -221,9 +221,12 @@ fn human_ns(ns: u64) -> String {
     }
 }
 
-/// Renders the profile rows as an aligned text table.
+/// Renders the [`profile`] of `snap`'s spans as an aligned text table. A
+/// last line says the table is incomplete when the ring dropped events or
+/// spans closed out of stack order.
 #[must_use]
-pub fn render_profile(rows: &[ProfileRow]) -> String {
+pub fn render_profile(snap: &TraceSnapshot) -> String {
+    let rows = profile(&snap.events);
     let mut out = String::new();
     let name_width = rows
         .iter()
@@ -248,6 +251,13 @@ pub fn render_profile(rows: &[ProfileRow]) -> String {
             human_ns(mean),
             human_ns(row.min_ns),
             human_ns(row.max_ns),
+        );
+    }
+    if snap.dropped > 0 || snap.misnested > 0 {
+        let _ = writeln!(
+            out,
+            "table is incomplete: {} events dropped by the trace ring, {} spans misnested",
+            snap.dropped, snap.misnested
         );
     }
     out
@@ -334,6 +344,26 @@ mod tests {
         assert_eq!(rows[1].self_ns, 30);
         assert_eq!(rows[1].min_ns, 10);
         assert_eq!(rows[1].max_ns, 20);
+    }
+
+    #[test]
+    fn rendered_profile_reports_lost_events() {
+        let mut snap = TraceSnapshot {
+            events: vec![ev("job", 1, 0, 2000)],
+            dropped: 0,
+            misnested: 0,
+            threads: Vec::new(),
+        };
+        let complete = render_profile(&snap);
+        assert!(complete.contains("job"));
+        assert!(!complete.contains("incomplete"));
+        snap.dropped = 3;
+        assert!(render_profile(&snap).ends_with(
+            "table is incomplete: 3 events dropped by the trace ring, 0 spans misnested\n"
+        ));
+        snap.dropped = 0;
+        snap.misnested = 2;
+        assert!(render_profile(&snap).contains("0 events dropped by the trace ring, 2 spans"));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! The thread-serial schedule is a pure function of the launch, so a
 //! snapshot of (thread states, shared memory, global memory) between two
 //! steps fully determines the rest of the run. Injection campaigns capture
-//! snapshots every K retired instructions during the fault-free run and
-//! resume each injected run from the closest snapshot at or before its
-//! fault site, skipping the shared golden prefix entirely
-//! ([`crate::Simulator::run_from`]).
+//! snapshots every K retired instructions during the fault-free run
+//! ([`crate::Simulator::run_with_checkpoints`], which pauses the ordinary
+//! CTA loop at each capture point) and resume each injected run from the
+//! closest snapshot at or before its fault site, skipping the shared golden
+//! prefix entirely ([`crate::Simulator::run_from_with`], which re-enters
+//! that loop where the snapshot left it).
 //!
 //! Memory blocks are copy-on-write ([`crate::MemBlock`]), so a snapshot's
 //! global image shares every chunk the kernel did not rewrite in the
@@ -37,7 +39,9 @@ impl Default for CheckpointConfig {
 }
 
 /// A resumable snapshot of the machine between two steps of the
-/// thread-serial schedule.
+/// thread-serial schedule. A snapshot taken as a thread reaches a barrier
+/// or as a CTA ends holds that state as is: resuming releases the barrier
+/// or moves to the next CTA exactly as the uninterrupted run does.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     /// Instructions retired grid-wide at the snapshot.

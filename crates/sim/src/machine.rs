@@ -1,10 +1,10 @@
 //! The grid executor: CTAs in launch order, barrier-phase thread scheduling.
 
-use fsp_isa::MemSpace;
+use fsp_isa::{MemSpace, PredTest};
 
 use crate::checkpoint::{Checkpoint, CheckpointConfig};
 use crate::exec::{step, AccessLog, ExecCtx, SimFault, SrcLog, StepEffect};
-use crate::hook::ExecHook;
+use crate::hook::{ExecHook, RetireEvent, Writeback};
 use crate::launch::Launch;
 use crate::mem::MemBlock;
 use crate::thread::{ThreadCoords, ThreadState, ThreadStatus};
@@ -21,6 +21,17 @@ pub struct RunStats {
     pub barriers: u64,
     /// Total threads executed.
     pub threads: u32,
+}
+
+impl RunStats {
+    /// Stats of a run of `launch` that has retired nothing yet.
+    fn zero(launch: &Launch) -> Self {
+        RunStats {
+            instructions: 0,
+            barriers: 0,
+            threads: launch.num_threads(),
+        }
+    }
 }
 
 /// How threads of a CTA are scheduled.
@@ -67,6 +78,20 @@ impl Default for ResumeScratch {
     }
 }
 
+impl ResumeScratch {
+    /// Buffers for a cold start of `launch`: one CTA's threads and shared
+    /// memory.
+    fn cold(launch: &Launch) -> Self {
+        ResumeScratch {
+            threads: Vec::with_capacity(launch.threads_per_cta() as usize),
+            shared: MemBlock::with_space(
+                (launch.shared_size() as usize).div_ceil(4),
+                MemSpace::Shared,
+            ),
+        }
+    }
+}
+
 /// Resets a CTA's shared memory and writes the launch parameters at the
 /// base.
 fn reset_shared(shared: &mut MemBlock, launch: &Launch) {
@@ -101,6 +126,37 @@ fn fill_cta_threads(threads: &mut Vec<ThreadState>, launch: &Launch, cx: u32, cy
                 idx += 1;
             }
         }
+    }
+}
+
+/// Capture hook of [`Simulator::run_with_checkpoints`]: forwards every
+/// event to the caller's hook, counts retirements grid-wide and per thread,
+/// and reports convergence once a capture point is due, so
+/// [`Simulator::run_cta`] pauses there for the snapshot.
+struct Capture<H> {
+    inner: H,
+    retired: u64,
+    next_at: u64,
+    icnt: Vec<u32>,
+}
+
+impl<H: ExecHook> ExecHook for Capture<H> {
+    fn on_retire(&mut self, ev: RetireEvent<'_>) {
+        self.retired += 1;
+        self.icnt[ev.tid as usize] = ev.dyn_idx + 1;
+        self.inner.on_retire(ev);
+    }
+
+    fn writeback(&mut self, wb: &Writeback) -> Option<u32> {
+        self.inner.writeback(wb)
+    }
+
+    fn on_guard_fail(&mut self, tid: u32, pred: u8, test: PredTest) {
+        self.inner.on_guard_fail(tid, pred, test);
+    }
+
+    fn converged(&self) -> bool {
+        self.retired >= self.next_at
     }
 }
 
@@ -151,89 +207,33 @@ impl Simulator {
         global: &mut MemBlock,
         hook: &mut H,
     ) -> Result<RunStats, SimFault> {
-        let program = launch.program();
-        let (gx, gy) = launch.grid_dim();
-        let cta_threads = launch.threads_per_cta() as usize;
+        let mut stats = RunStats::zero(launch);
         let mut budget = launch.budget();
-        let mut stats = RunStats {
-            instructions: 0,
-            barriers: 0,
-            threads: launch.num_threads(),
-        };
-
-        let mut shared = MemBlock::with_space(
-            (launch.shared_size() as usize).div_ceil(4),
-            MemSpace::Shared,
-        );
-        let mut threads: Vec<ThreadState> = Vec::with_capacity(cta_threads);
-        // Reconvergence table for warp-lockstep mode, once per launch. An
-        // explicit `ssy <label>` earlier in the same basic block wins
-        // (PTXPlus-style annotation); otherwise the immediate
-        // post-dominator from the CFG.
-        let rpcs: Vec<Option<usize>> = match self.mode {
-            ExecMode::ThreadSerial => Vec::new(),
-            ExecMode::WarpLockstep { .. } => {
-                let cfg = program.cfg();
-                let pdom = cfg.post_dominators();
-                (0..program.len())
-                    .map(|pc| {
-                        let block = &cfg.blocks()[cfg.block_of(pc)];
-                        let declared = (block.start..pc).rev().find_map(|p| {
-                            let i = program.instr(p);
-                            (i.opcode == fsp_isa::Opcode::Ssy)
-                                .then_some(i.target)
-                                .flatten()
-                        });
-                        declared.or_else(|| pdom[cfg.block_of(pc)].map(|b| cfg.blocks()[b].start))
-                    })
-                    .collect()
-            }
-        };
-
-        for cy in 0..gy {
-            for cx in 0..gx {
-                // Fresh shared memory per CTA, parameters at the base.
-                reset_shared(&mut shared, launch);
-                fill_cta_threads(&mut threads, launch, cx, cy);
-
-                match self.mode {
-                    ExecMode::ThreadSerial => {
-                        if self.run_cta(
-                            program,
-                            global,
-                            &mut shared,
-                            &mut threads[..cta_threads],
-                            hook,
-                            &mut budget,
-                            &mut stats,
-                        )? {
-                            stats.instructions = launch.budget() - budget;
-                            return Ok(stats);
-                        }
-                    }
-                    ExecMode::WarpLockstep { width } => self.run_cta_warps(
-                        program,
-                        global,
-                        &mut shared,
-                        &mut threads[..cta_threads],
-                        hook,
-                        &mut budget,
-                        &mut stats,
-                        width,
-                        &rpcs,
-                    )?,
-                }
-            }
-        }
-        stats.instructions = launch.budget() - budget;
+        let mut scratch = ResumeScratch::cold(launch);
+        self.run_ctas(
+            launch,
+            global,
+            hook,
+            &mut scratch,
+            None,
+            &mut budget,
+            &mut stats,
+        )?;
         Ok(stats)
     }
 
     /// Runs `launch` like [`Simulator::run`] while capturing resumable
-    /// snapshots of the machine roughly every `config.interval` retired
+    /// snapshots of the machine every `config.interval` retired
     /// instructions (thread-serial schedule only). The returned checkpoints
     /// are ordered by [`Checkpoint::retired`] and every per-thread
     /// [`Checkpoint::icnt`] is nondecreasing across them.
+    ///
+    /// Capture is a pause of the ordinary run: the capture hook reports
+    /// convergence at each due point, the run returns, the snapshot is
+    /// taken, and the run re-enters its CTA exactly as
+    /// [`Simulator::run_from_with`] resumes one. A point that falls due
+    /// after the final step is not captured: there is nothing left to
+    /// resume.
     ///
     /// # Errors
     ///
@@ -254,116 +254,73 @@ impl Simulator {
             matches!(self.mode, ExecMode::ThreadSerial),
             "checkpoint capture requires the thread-serial schedule"
         );
-        let program = launch.program();
-        let (gx, _) = launch.grid_dim();
-        let cta_threads = launch.threads_per_cta() as usize;
-        let nctas = launch.num_ctas();
-        let mut budget = launch.budget();
-        let mut stats = RunStats {
-            instructions: 0,
-            barriers: 0,
-            threads: launch.num_threads(),
-        };
-        let mut shared = MemBlock::with_space(
-            (launch.shared_size() as usize).div_ceil(4),
-            MemSpace::Shared,
-        );
-        let mut threads: Vec<ThreadState> = Vec::with_capacity(cta_threads);
-        // Retired counts of threads in already-completed CTAs; threads of
-        // the running CTA are overlaid at capture time.
-        let mut icnt_done = vec![0u32; launch.num_threads() as usize];
-        let mut checkpoints: Vec<Checkpoint> = Vec::new();
         let mut interval = config.interval.max(1);
         let max = config.max.max(1);
-        let mut next_at = interval;
-
-        for cta in 0..nctas {
-            let (cx, cy) = (cta % gx, cta / gx);
-            reset_shared(&mut shared, launch);
-            fill_cta_threads(&mut threads, launch, cx, cy);
-            loop {
-                let mut all_done = true;
-                for i in 0..cta_threads {
-                    if threads[i].status != ThreadStatus::Ready {
-                        if threads[i].status == ThreadStatus::AtBarrier {
-                            all_done = false;
-                        }
-                        continue;
-                    }
-                    loop {
-                        // Between-step snapshot point: the machine state
-                        // here (statuses + memories) fully determines the
-                        // rest of the run under the serial schedule.
-                        let retired = launch.budget() - budget;
-                        if retired >= next_at {
-                            let _cap = fsp_obs::span("sim.checkpoint_capture");
-                            let mut icnt = icnt_done.clone();
-                            for t in &threads[..cta_threads] {
-                                icnt[t.coords.flat_tid() as usize] = t.icnt;
-                            }
-                            checkpoints.push(Checkpoint {
-                                retired,
-                                barriers: stats.barriers,
-                                cta,
-                                threads: threads[..cta_threads].to_vec(),
-                                shared: shared.clone(),
-                                global: global.clone(),
-                                icnt,
-                            });
-                            if checkpoints.len() >= max {
-                                // Thin to every other snapshot and double
-                                // the cadence: long runs keep a bounded
-                                // set at geometrically coarser spacing.
-                                let mut keep = 0u32;
-                                checkpoints.retain(|_| {
-                                    keep += 1;
-                                    keep % 2 == 1
-                                });
-                                interval *= 2;
-                            }
-                            next_at = retired + interval;
-                        }
-                        let mut ctx = ExecCtx {
-                            program,
-                            global,
-                            shared: &mut shared,
-                            accesses: AccessLog::default(),
-                            srcs: SrcLog::default(),
-                        };
-                        match step(&mut threads[i], &mut ctx, hook, &mut budget)? {
-                            StepEffect::Continue => {}
-                            StepEffect::Barrier => {
-                                all_done = false;
-                                break;
-                            }
-                            StepEffect::Done => break,
-                        }
-                    }
-                }
-                if all_done {
-                    break;
-                }
-                stats.barriers += 1;
-                for thread in threads.iter_mut() {
-                    if thread.status == ThreadStatus::AtBarrier {
-                        thread.status = ThreadStatus::Ready;
-                    }
+        let mut capture = Capture {
+            inner: hook,
+            retired: 0,
+            next_at: interval,
+            icnt: vec![0; launch.num_threads() as usize],
+        };
+        let mut stats = RunStats::zero(launch);
+        let mut budget = launch.budget();
+        let mut scratch = ResumeScratch::cold(launch);
+        let mut checkpoints: Vec<Checkpoint> = Vec::new();
+        let mut at = None;
+        while let Some(cta) = self.run_ctas(
+            launch,
+            global,
+            &mut capture,
+            &mut scratch,
+            at,
+            &mut budget,
+            &mut stats,
+        )? {
+            at = Some(cta);
+            let finished = cta + 1 == launch.num_ctas()
+                && scratch
+                    .threads
+                    .iter()
+                    .all(|t| t.status == ThreadStatus::Done);
+            if !finished {
+                let _cap = fsp_obs::span("sim.checkpoint_capture");
+                checkpoints.push(Checkpoint {
+                    retired: capture.retired,
+                    barriers: stats.barriers,
+                    cta,
+                    threads: scratch.threads.clone(),
+                    shared: scratch.shared.clone(),
+                    global: global.clone(),
+                    icnt: capture.icnt.clone(),
+                });
+                if checkpoints.len() >= max {
+                    // Thin to every other snapshot and double the cadence:
+                    // long runs keep a bounded set at geometrically coarser
+                    // spacing.
+                    let mut keep = 0u32;
+                    checkpoints.retain(|_| {
+                        keep += 1;
+                        keep % 2 == 1
+                    });
+                    interval *= 2;
                 }
             }
-            for t in &threads[..cta_threads] {
-                icnt_done[t.coords.flat_tid() as usize] = t.icnt;
-            }
+            capture.next_at = capture.retired + interval;
         }
-        stats.instructions = launch.budget() - budget;
         Ok((stats, checkpoints))
     }
 
     /// Resumes `launch` from `checkpoint`, skipping the already-retired
-    /// golden prefix (thread-serial schedule only). `global` is overwritten
-    /// with the checkpoint's image (copy-on-write, so this is O(chunk
-    /// pointers)). The remaining dynamic-instruction budget is
-    /// `launch.budget() - checkpoint.retired()`, which makes hang
-    /// classification identical to a full run.
+    /// golden prefix (thread-serial schedule only): the checkpoint's CTA
+    /// continues from its snapshot state and the later CTAs start cold.
+    /// `global` is overwritten with the checkpoint's image, which already
+    /// holds every store of the earlier CTAs (copy-on-write, so this is
+    /// O(chunk pointers)). The per-resume thread-state and shared-memory
+    /// images are cloned into `scratch`'s allocations, which campaigns
+    /// reuse across the thousands of runs each worker resumes. The
+    /// remaining dynamic-instruction budget is `launch.budget() -
+    /// checkpoint.retired()`, which makes hang classification identical to
+    /// a full run.
     ///
     /// The returned stats cover the executed suffix only.
     ///
@@ -375,34 +332,6 @@ impl Simulator {
     ///
     /// Panics in warp-lockstep mode, or if the checkpoint does not belong
     /// to an equivalent launch (thread-count mismatch).
-    pub fn run_from<H: ExecHook>(
-        &self,
-        checkpoint: &Checkpoint,
-        launch: &Launch,
-        global: &mut MemBlock,
-        hook: &mut H,
-    ) -> Result<RunStats, SimFault> {
-        self.run_from_with(
-            checkpoint,
-            launch,
-            global,
-            hook,
-            &mut ResumeScratch::default(),
-        )
-    }
-
-    /// [`Simulator::run_from`] with caller-owned resume buffers: campaigns
-    /// resume thousands of runs per worker, so the per-resume thread-state
-    /// and shared-memory images are cloned into `scratch`'s allocations
-    /// instead of fresh ones.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Simulator::run`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Simulator::run_from`].
     pub fn run_from_with<H: ExecHook>(
         &self,
         checkpoint: &Checkpoint,
@@ -415,63 +344,100 @@ impl Simulator {
             matches!(self.mode, ExecMode::ThreadSerial),
             "checkpoint resume requires the thread-serial schedule"
         );
-        let program = launch.program();
-        let (gx, _) = launch.grid_dim();
-        let cta_threads = launch.threads_per_cta() as usize;
         assert_eq!(
             checkpoint.threads.len(),
-            cta_threads,
+            launch.threads_per_cta() as usize,
             "checkpoint does not match this launch"
         );
         let restore = fsp_obs::span("sim.checkpoint_restore");
         global.clone_from(&checkpoint.global);
-        let start_budget = launch.budget().saturating_sub(checkpoint.retired);
-        let mut budget = start_budget;
-        let mut stats = RunStats {
-            instructions: 0,
-            barriers: 0,
-            threads: launch.num_threads(),
-        };
-        let ResumeScratch { threads, shared } = scratch;
-        shared.clone_from(&checkpoint.shared);
-        threads.clone_from(&checkpoint.threads);
+        scratch.shared.clone_from(&checkpoint.shared);
+        scratch.threads.clone_from(&checkpoint.threads);
         drop(restore);
-        // Finish the checkpointed CTA from its snapshot state, then the
-        // remaining CTAs from scratch.
-        if self.run_cta(
-            program,
-            global,
-            shared,
-            &mut threads[..cta_threads],
-            hook,
-            &mut budget,
-            &mut stats,
-        )? {
-            stats.instructions = start_budget - budget;
-            return Ok(stats);
-        }
-        for cta in (checkpoint.cta + 1)..launch.num_ctas() {
-            let (cx, cy) = (cta % gx, cta / gx);
-            reset_shared(shared, launch);
-            fill_cta_threads(threads, launch, cx, cy);
-            if self.run_cta(
-                program,
-                global,
-                shared,
-                &mut threads[..cta_threads],
-                hook,
-                &mut budget,
-                &mut stats,
-            )? {
-                break;
-            }
-        }
-        stats.instructions = start_budget - budget;
+        let mut stats = RunStats::zero(launch);
+        let mut budget = launch.budget().saturating_sub(checkpoint.retired);
+        let cta = Some(checkpoint.cta);
+        self.run_ctas(launch, global, hook, scratch, cta, &mut budget, &mut stats)?;
         Ok(stats)
     }
 
-    /// Runs one CTA to completion under the serial schedule. Returns `true`
-    /// if the hook reported convergence and the run should stop early.
+    /// The CTA driver behind every run: CTAs in launch order under the
+    /// configured schedule. `resume` continues that CTA from the thread and
+    /// shared state already in `scratch`; `None` starts cold at CTA 0.
+    /// Returns the CTA the run paused in when the hook reported convergence
+    /// (thread-serial schedule only), or `None` once the grid has finished;
+    /// either way `stats` gains the instructions retired meanwhile.
+    #[allow(clippy::too_many_arguments)]
+    fn run_ctas<H: ExecHook>(
+        &self,
+        launch: &Launch,
+        global: &mut MemBlock,
+        hook: &mut H,
+        scratch: &mut ResumeScratch,
+        resume: Option<u32>,
+        budget: &mut u64,
+        stats: &mut RunStats,
+    ) -> Result<Option<u32>, SimFault> {
+        let program = launch.program();
+        let (gx, _) = launch.grid_dim();
+        let cta_threads = launch.threads_per_cta() as usize;
+        let rpcs = self.reconvergence_pcs(program);
+        let entry_budget = *budget;
+        let ResumeScratch { threads, shared } = scratch;
+        let mut paused = None;
+        for cta in resume.unwrap_or(0)..launch.num_ctas() {
+            if resume != Some(cta) {
+                // Fresh shared memory per CTA, parameters at the base.
+                reset_shared(shared, launch);
+                fill_cta_threads(threads, launch, cta % gx, cta / gx);
+            }
+            let threads = &mut threads[..cta_threads];
+            match self.mode {
+                ExecMode::ThreadSerial => {
+                    if self.run_cta(program, global, shared, threads, hook, budget, stats)? {
+                        paused = Some(cta);
+                        break;
+                    }
+                }
+                ExecMode::WarpLockstep { width } => self.run_cta_warps(
+                    program, global, shared, threads, hook, budget, stats, width, &rpcs,
+                )?,
+            }
+        }
+        stats.instructions += entry_budget - *budget;
+        Ok(paused)
+    }
+
+    /// Reconvergence table for warp-lockstep mode (empty otherwise). An
+    /// explicit `ssy <label>` earlier in the same basic block wins
+    /// (PTXPlus-style annotation); otherwise the immediate post-dominator
+    /// from the CFG.
+    fn reconvergence_pcs(&self, program: &fsp_isa::KernelProgram) -> Vec<Option<usize>> {
+        if self.mode == ExecMode::ThreadSerial {
+            return Vec::new();
+        }
+        let cfg = program.cfg();
+        let pdom = cfg.post_dominators();
+        (0..program.len())
+            .map(|pc| {
+                let block = &cfg.blocks()[cfg.block_of(pc)];
+                let declared = (block.start..pc).rev().find_map(|p| {
+                    let i = program.instr(p);
+                    (i.opcode == fsp_isa::Opcode::Ssy)
+                        .then_some(i.target)
+                        .flatten()
+                });
+                declared.or_else(|| pdom[cfg.block_of(pc)].map(|b| cfg.blocks()[b].start))
+            })
+            .collect()
+    }
+
+    /// Runs one CTA to completion under the serial schedule: the only
+    /// thread-serial barrier-phase loop. Returns `true` if the hook
+    /// reported convergence after a step — an early stop for injected
+    /// runs, a capture pause for [`Simulator::run_with_checkpoints`].
+    /// Calling it again on the same thread and shared state continues
+    /// exactly where it returned.
     ///
     /// Each thread's quantum is watched by a [`SpinDetector`]: under the
     /// serial schedule a quantum has exclusive access to the machine, so a
@@ -892,30 +858,44 @@ mod tests {
         let golden_stats = Simulator::new()
             .run(&launch, &mut golden, &mut NopHook)
             .unwrap();
-        let mut tmp = MemBlock::with_words(16);
-        let (_, cps) = Simulator::new()
-            .run_with_checkpoints(
-                &launch,
-                &mut tmp,
-                &mut NopHook,
-                CheckpointConfig {
-                    interval: 7,
-                    max: 1000,
-                },
-            )
-            .unwrap();
-        assert!(cps.len() > 3, "want snapshots across CTA boundaries");
-        let mut resumed = MemBlock::with_words(16);
-        for cp in &cps {
-            let stats = Simulator::new()
-                .run_from(cp, &launch, &mut resumed, &mut NopHook)
+        // Interval 1 puts a capture point after every retirement, barrier
+        // releases and CTA ends included; 7 lands mid-phase.
+        for interval in [1, 7] {
+            let mut tmp = MemBlock::with_words(16);
+            let (_, cps) = Simulator::new()
+                .run_with_checkpoints(
+                    &launch,
+                    &mut tmp,
+                    &mut NopHook,
+                    CheckpointConfig {
+                        interval,
+                        max: 1000,
+                    },
+                )
                 .unwrap();
-            assert_eq!(resumed, golden, "resume at retired={}", cp.retired());
             assert_eq!(
-                stats.instructions,
-                golden_stats.instructions - cp.retired(),
-                "suffix stats count only the skipped-prefix remainder"
+                cps.len() as u64,
+                (golden_stats.instructions - 1) / interval,
+                "one snapshot per due point before the final step"
             );
+            let mut resume = ResumeScratch::default();
+            let mut resumed = MemBlock::with_words(16);
+            for (i, cp) in cps.iter().enumerate() {
+                assert_eq!(cp.retired(), (i as u64 + 1) * interval);
+                let icnt: u64 = (0..launch.num_threads())
+                    .map(|tid| u64::from(cp.icnt(tid)))
+                    .sum();
+                assert_eq!(icnt, cp.retired(), "per-thread icnt sums to retired");
+                let stats = Simulator::new()
+                    .run_from_with(cp, &launch, &mut resumed, &mut NopHook, &mut resume)
+                    .unwrap();
+                assert_eq!(resumed, golden, "resume at retired={}", cp.retired());
+                assert_eq!(
+                    stats.instructions,
+                    golden_stats.instructions - cp.retired(),
+                    "suffix stats count only the skipped-prefix remainder"
+                );
+            }
         }
     }
 
